@@ -23,6 +23,7 @@ from .core import (
 )
 from .mincut import (
     INF,
+    CutEngine,
     CutResult,
     FlowNetwork,
     NoFiniteCutError,
@@ -36,6 +37,7 @@ from .gadgets import (
     build_independence_gadget,
     build_polytope_gadget,
     build_supermodular_gadget,
+    forced_sweep,
     interpret_gadget_cut,
     interpret_independence_cut,
 )
@@ -71,6 +73,7 @@ __version__ = "0.1.0"
 __all__ = [
     "ArboricityResult",
     "BoundViolation",
+    "CutEngine",
     "CutResult",
     "DualState",
     "DuplicateVertexInEdge",
@@ -102,6 +105,7 @@ __all__ = [
     "build_supermodular_gadget",
     "canonicalize_merge",
     "cover_demand",
+    "forced_sweep",
     "format_rational",
     "independence_test_incremental",
     "interpret_gadget_cut",

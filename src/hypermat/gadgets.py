@@ -17,12 +17,12 @@ vertices a sub-family of edges can be charged to.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Iterator, Mapping, Sequence
 
 from .core import EdgeVector, Hyperedge, Hypergraph, LoopPresentError, as_fraction
-from .mincut import INF, Cap, CutResult, FlowNetwork
+from .mincut import INF, Cap, CutEngine, CutResult, FlowNetwork
 
 
 @dataclass(frozen=True)
@@ -283,6 +283,27 @@ def interpret_gadget_cut(g: GadgetGraph, cut: CutResult,
         edges_spanning=frozenset(spanning), edges_source=frozenset(on_source),
         edges_inside=inside_set,
     )
+
+
+def forced_sweep(g: GadgetGraph, x: EdgeVector) -> Iterator[GadgetCutInterpretation]:
+    """Minimum cuts of a supermodular gadget with each vertex forced in turn.
+
+    One engine serves the whole sweep: between solves only the infinite
+    sink arc moves, from one vertex's slot at n + v to the next.  Yields
+    each vertex's cut, read back and checked, in vertex order.
+    """
+    if g.kind != "cover" or g.charges is None or g.forced is None:
+        raise ValueError("forced sweeps need a supermodular gadget")
+    n = len(g.charges)
+    engine = CutEngine(g.network)
+    prev = g.forced
+    for v in range(n):
+        if v != prev:
+            c = g.charges[prev]
+            engine.set_capacity(n + prev, -c if c < 0 else Fraction(0))
+            engine.set_capacity(n + v, INF)
+            prev = v
+        yield interpret_gadget_cut(replace(g, forced=v), engine.solve(), x)
 
 
 def interpret_independence_cut(g: GadgetGraph, cut: CutResult) -> tuple[int, frozenset[int]]:

@@ -19,8 +19,8 @@ from typing import Iterable, Sequence, Union
 from .core import EdgeVector, Hypergraph, Partition
 from .gadgets import (
     build_independence_gadget,
-    build_polytope_gadget,
-    interpret_gadget_cut,
+    build_supermodular_gadget,
+    forced_sweep,
     interpret_independence_cut,
 )
 from .mincut import min_st_cut
@@ -93,10 +93,16 @@ def rank(h: Hypergraph, edge_ids: Iterable[int] | None = None) -> RankResult:
 
 
 def is_independent(h: Hypergraph, edge_ids: Iterable[int] | None = None) -> bool:
-    """Whether the selected edges form a hyperforest (rank equals size)."""
+    """Whether the selected edges form a hyperforest (rank equals size).
+
+    More than |V| - 1 edges are dependent without any cut: no rank exceeds
+    |V| - 1.
+    """
     ids = h._edge_id_list(edge_ids)
     if not ids:
         return True
+    if len(ids) > h.n - 1:
+        return False
     return rank(h, ids).rank == len(ids)
 
 
@@ -140,8 +146,9 @@ def separate_polytope(h: Hypergraph, x: EdgeVector) -> SeparationOutcome:
     """Exact separation for the hyperforest polytope.
 
     Box constraints are screened first (x >= 0, x <= 1, and x = 0 on
-    singleton edges, whose rank is zero).  Then one min cut per vertex
-    finds the minimum of |W| - x(E[W]) over nonempty vertex sets W; a
+    singleton edges, whose rank is zero).  Then one network, re-solved
+    with each vertex forced into W in turn, finds the minimum of
+    |W| - x(E[W]) over nonempty vertex sets W; a
     minimum below 1 yields the most violated induced-set inequality
     x(E[W]) <= |W| - 1, also returned in partition form.
     """
@@ -154,13 +161,14 @@ def separate_polytope(h: Hypergraph, x: EdgeVector) -> SeparationOutcome:
         if x[e] > 1:
             return BoundViolation(edge=e, value=x[e], upper=Fraction(1))
     best: tuple[Fraction, frozenset[int]] | None = None
-    for forced in range(h.n):
-        g = build_polytope_gadget(h, x, forced)
-        cut = min_st_cut(g.network)
-        info = interpret_gadget_cut(g, cut, x)
-        value = len(info.witness) - x.sum_over(info.edges_inside)
-        if best is None or value < best[0]:
-            best = (value, info.witness)
+    if h.n:
+        # charge 1 per vertex makes the polytope gadget: its cut identity
+        # reads |W| - x(E[W]) + x(E)
+        g = build_supermodular_gadget(h, x, [Fraction(1)] * h.n, forced=0)
+        for info in forced_sweep(g, x):
+            value = len(info.witness) - x.sum_over(info.edges_inside)
+            if best is None or value < best[0]:
+                best = (value, info.witness)
     if best is not None and best[0] < 1:
         witness = best[1]
         edge_set = h.induced_edges(None, witness)

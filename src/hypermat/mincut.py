@@ -1,22 +1,35 @@
 """Exact minimum s-t cut on directed networks with rational or infinite capacities.
 
-The solver runs Dinic's blocking-flow method on integers after clearing
+CutEngine runs Dinic's blocking-flow method on integers after clearing
 denominators, so every comparison is exact.  Infinite capacities stay
 symbolic: an infinite residual admits flow but never shrinks, and when
-every s-t cut would have to cross an infinite arc the solver raises
+every s-t cut would have to cross an infinite arc the engine raises
 NoFiniteCutError instead of inventing a large finite stand-in.
 
+The engine is incremental.  Callers revise only arcs incident to the
+source or the sink and solve again; the flow of the previous solve is
+kept and only augmented.  A revision that leaves an arc carrying more
+than its new capacity raises both terminal arcs of that vertex by the
+excess (the shift of Gallo, Grigoriadis and Tarjan, SIAM J. Comput.
+18(1), 1989).  That adds one constant to every finite cut, so the kept
+flow stays feasible and the minimum cuts stay the same; the reported
+capacity is the flow minus the accumulated shift, checked against the
+capacities of the arcs the cut crosses.
+
 The reported source side is the set of nodes reachable in the final
-residual network, which is the unique inclusion-minimal minimum cut;
-callers rely on that for deterministic tie-breaking.
+residual network.  Any maximum flow saturates every minimum cut, so that
+set lies inside each minimum cut's source side and is itself one: it is
+the unique inclusion-minimal minimum cut, however the flow was reached.
+Callers rely on that for deterministic tie-breaking.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Sequence, Union
+from typing import Iterable, Union
 
 from .core import as_fraction
 
@@ -120,50 +133,132 @@ class NoFiniteCutError(RuntimeError):
         self.index = index
 
 
-class _Solver:
-    """Dinic solver over a fixed arc structure with revisable capacities.
+class CutEngine:
+    """Exact min-cut engine over one network, re-solved after terminal revisions.
 
-    Residual slots 2*i and 2*i+1 belong to input arc i.  A residual value
-    of -1 marks a symbolically infinite arc; it admits flow but is never
-    decremented.  solve() rebuilds residuals from the current capacities,
-    so each call is an independent exact solve.
+    Residual slots 2*i and 2*i+1 belong to arc i: the forward slot holds
+    what arc i can still take (-1 marks a symbolically infinite arc, which
+    admits flow but is never decremented), the backward slot the flow on
+    it.  Every value is an integer over the common denominator `scale`.
+
+    The residuals, the flow and the scale persist between solves, so
+    solve() only augments what the latest revisions opened up.  Only arcs
+    incident to the source or the sink may be revised.  When a revision
+    leaves arc (s, v) or (v, t) carrying more than its new capacity, both
+    terminal arcs of v are raised by the excess (Gallo, Grigoriadis and
+    Tarjan's shift).  Every finite cut crosses exactly one of the two, so
+    all finite cuts rise by the same constant: the flow stays feasible,
+    the minimizers stay the same, and the true capacity is the flow minus
+    the accumulated shift.  A vertex lacking the partner arc gets a hidden
+    zero-capacity one.
     """
 
-    def __init__(self, node_count: int, arcs: Sequence[tuple[int, int, Cap]],
-                 source: int, sink: int) -> None:
-        self.n = node_count
-        self.s = source
-        self.t = sink
+    def __init__(self, network: FlowNetwork) -> None:
+        self.n = network.node_count
+        s = self.s = network.source
+        t = self.t = network.sink
+        arcs = network.arcs
+        self.arc_count = len(arcs)
         self.tails = [a[0] for a in arcs]
         self.heads = [a[1] for a in arcs]
-        self.caps: list[Cap] = [_check_cap(a[2]) for a in arcs]
-        m = len(arcs)
+        self.caps: list[Cap] = [a[2] for a in arcs]
+        scale = 1
+        for c in self.caps:
+            if c is not INF:
+                d = c.denominator
+                if d != 1:
+                    scale = scale * d // math.gcd(scale, d)
+        self.scale = scale
+        self.res = [0] * (2 * len(arcs))
+        for i, c in enumerate(self.caps):
+            self.res[2 * i] = -1 if c is INF else c.numerator * (scale // c.denominator)
+        self.extra = [0] * len(arcs)  # shift each arc carries, over `scale`
+        self.flow = 0
+        self.shift = 0
+        # the terminal arcs of each vertex that absorb its shifts
+        self.source_arc: dict[int, int] = {}
+        self.sink_arc: dict[int, int] = {}
+        for i, (tail, head, _) in enumerate(arcs):
+            if tail == s and head != t and head != s:
+                self.source_arc.setdefault(head, i)
+            elif head == t and tail != s and tail != t:
+                self.sink_arc.setdefault(tail, i)
+        self._index()
+
+    def _index(self) -> None:
+        m = len(self.tails)
         self.to = [0] * (2 * m)
-        adj: list[list[int]] = [[] for _ in range(node_count)]
+        self.slots: list[list[int]] = [[] for _ in range(self.n)]  # residual slots out of each node
         for i in range(m):
             self.to[2 * i] = self.heads[i]
             self.to[2 * i + 1] = self.tails[i]
-            adj[self.tails[i]].append(2 * i)
-            adj[self.heads[i]].append(2 * i + 1)
-        self.first = [0] * (node_count + 1)
-        flat: list[int] = []
-        for v in range(node_count):
-            flat.extend(adj[v])
-            self.first[v + 1] = len(flat)
-        self.adj = flat
+            self.slots[self.tails[i]].append(2 * i)
+            self.slots[self.heads[i]].append(2 * i + 1)
 
-    def set_capacity(self, arc_index: int, cap: object) -> None:
-        self.caps[arc_index] = _check_cap(cap)
+    def _partner(self, v: int, sink_side: bool) -> int:
+        """The terminal arc of v on the other side, made at zero capacity if missing."""
+        table = self.sink_arc if sink_side else self.source_arc
+        arc = table.get(v)
+        if arc is None:
+            arc = table[v] = len(self.tails)
+            self.tails.append(v if sink_side else self.s)
+            self.heads.append(self.t if sink_side else v)
+            self.caps.append(Fraction(0))
+            self.res += [0, 0]
+            self.extra.append(0)
+            self._index()
+        return arc
+
+    def _rescale(self, scale: int) -> None:
+        k = scale // self.scale
+        self.res[:] = [r if r == -1 else r * k for r in self.res]
+        self.extra[:] = [e * k for e in self.extra]
+        self.flow *= k
+        self.shift *= k
+        self.scale = scale
+
+    def set_capacity(self, arc: int, cap: object) -> None:
+        """Revise the capacity of an arc incident to the source or the sink."""
+        if not 0 <= arc < self.arc_count:
+            raise ValueError(f"arc index {arc} out of range")
+        s, t = self.s, self.t
+        tail, head = self.tails[arc], self.heads[arc]
+        if tail != s and tail != t and head != s and head != t:
+            raise ValueError(f"arc {arc} is not incident to the source or sink")
+        cap = _check_cap(cap)
+        self.caps[arc] = cap
+        res = self.res
+        if cap is INF:
+            res[2 * arc] = -1
+            return
+        d = cap.denominator
+        if self.scale % d:
+            self._rescale(self.scale * d // math.gcd(self.scale, d))
+        room = cap.numerator * (self.scale // d) + self.extra[arc] - res[2 * arc + 1]
+        if room < 0:
+            # only arcs leaving s or entering t ever carry flow
+            if tail == s and head == t:
+                # a direct arc is a flow path of its own: drop the excess
+                res[2 * arc + 1] += room
+                self.flow += room
+            else:
+                partner = self._partner(head if tail == s else tail, tail == s)
+                self.extra[arc] -= room
+                self.extra[partner] -= room
+                if res[2 * partner] != -1:
+                    res[2 * partner] -= room
+                self.shift -= room
+            room = 0
+        res[2 * arc] = room
 
     def _infinite_reach(self) -> bytearray:
         seen = bytearray(self.n)
         seen[self.s] = 1
         stack = [self.s]
-        caps, first, adj, to = self.caps, self.first, self.adj, self.to
+        caps, slots, to = self.caps, self.slots, self.to
         while stack:
             v = stack.pop()
-            for idx in range(first[v], first[v + 1]):
-                a = adj[idx]
+            for a in slots[v]:
                 if a & 1:
                     continue  # only forward slots carry input capacity
                 if caps[a >> 1] is INF:
@@ -174,42 +269,33 @@ class _Solver:
         return seen
 
     def solve(self) -> CutResult:
+        """Augment to a maximum flow; return the inclusion-minimal minimum cut.
+
+        Raises NoFiniteCutError, leaving the flow as it was, when every
+        s-t cut crosses an infinite arc.
+        """
         n, s, t = self.n, self.s, self.t
-        caps = self.caps
         if self._infinite_reach()[t]:
             raise NoFiniteCutError()
-
-        scale = 1
-        for c in caps:
-            if c is not INF:
-                d = c.denominator
-                if d != 1:
-                    scale = scale * d // math.gcd(scale, d)
-        res = [0] * (2 * len(caps))
-        for i, c in enumerate(caps):
-            res[2 * i] = -1 if c is INF else c.numerator * (scale // c.denominator)
-
-        to, first, adj = self.to, self.first, self.adj
-        flow = 0
+        res, to, slots = self.res, self.to, self.slots
+        flow = self.flow
         while True:
             level = [-1] * n
             level[s] = 0
             queue = [s]
-            qi = 0
-            while qi < len(queue):
-                v = queue[qi]
-                qi += 1
+            for v in queue:  # the loop visits what it appends
                 lv = level[v] + 1
-                for idx in range(first[v], first[v + 1]):
-                    a = adj[idx]
+                for a in slots[v]:
                     if res[a] != 0:
                         w = to[a]
                         if level[w] < 0:
                             level[w] = lv
                             queue.append(w)
+                if level[t] >= 0:
+                    break  # every level below t's is complete
             if level[t] < 0:
                 break
-            it = self.first[:n]
+            it = [0] * n
             path: list[int] = []
             v = s
             while True:
@@ -230,45 +316,37 @@ class _Solver:
                     path = []
                     v = s
                     continue
-                advanced = False
-                while it[v] < first[v + 1]:
-                    a = adj[it[v]]
-                    if res[a] != 0 and level[to[a]] == level[v] + 1:
-                        path.append(a)
-                        v = to[a]
-                        advanced = True
+                out = slots[v]
+                i, end, lv = it[v], len(out), level[v] + 1
+                while i < end:
+                    a = out[i]
+                    if res[a] != 0 and level[to[a]] == lv:
                         break
-                    it[v] += 1
-                if not advanced:
-                    if v == s:
-                        break
-                    level[v] = -1  # dead end for the rest of this phase
-                    a = path.pop()
-                    v = to[a ^ 1]
-                    it[v] += 1
+                    i += 1
+                it[v] = i
+                if i < end:
+                    path.append(a)
+                    v = to[a]
+                    continue
+                if v == s:
+                    break
+                level[v] = -1  # dead end for the rest of this phase
+                a = path.pop()
+                v = to[a ^ 1]
+                it[v] += 1
+        self.flow = flow
 
-        reach = bytearray(n)
-        reach[s] = 1
-        stack = [s]
-        while stack:
-            v = stack.pop()
-            for idx in range(first[v], first[v + 1]):
-                a = adj[idx]
-                if res[a] != 0:
-                    w = to[a]
-                    if not reach[w]:
-                        reach[w] = 1
-                        stack.append(w)
-        assert not reach[t], "sink still reachable after max flow"
-
-        capacity = Fraction(0)
-        tails, heads = self.tails, self.heads
-        for i, c in enumerate(caps):
-            if reach[tails[i]] and not reach[heads[i]]:
+        # the last search found no path: `level` marks exactly the nodes
+        # reachable in the final residual network
+        scale = self.scale
+        capacity = 0
+        for tail, head, c in zip(self.tails, self.heads, self.caps):
+            if level[tail] >= 0 and level[head] < 0:
                 assert c is not INF, "minimum cut crosses an infinite arc"
-                capacity += c
-        assert capacity == Fraction(flow, scale), "max-flow / min-cut mismatch"
-        return CutResult(frozenset(v for v in range(n) if reach[v]), capacity)
+                capacity += c.numerator * (scale // c.denominator)
+        assert capacity == flow - self.shift, "max-flow / min-cut mismatch"
+        return CutResult(frozenset(v for v in range(n) if level[v] >= 0),
+                         Fraction(capacity, scale))
 
 
 def min_st_cut(network: FlowNetwork) -> CutResult:
@@ -277,7 +355,7 @@ def min_st_cut(network: FlowNetwork) -> CutResult:
     Raises NoFiniteCutError when no finite-capacity cut separates the
     source from the sink.
     """
-    return _Solver(network.node_count, network.arcs, network.source, network.sink).solve()
+    return CutEngine(network).solve()
 
 
 def min_st_cut_sequence(
@@ -293,24 +371,14 @@ def min_st_cut_sequence(
     finite cut contributes the NoFiniteCutError (tagged with its element
     index) in place of a CutResult rather than aborting the sequence.
     """
-    solver = _Solver(network.node_count, network.arcs, network.source, network.sink)
+    engine = CutEngine(network)
     results: list[CutResult | NoFiniteCutError] = []
-
-    def run(index: int) -> None:
+    for index, batch in enumerate(itertools.chain([()], updates)):
+        for arc, cap in batch:
+            engine.set_capacity(arc, cap)
         try:
-            results.append(solver.solve())
+            results.append(engine.solve())
         except NoFiniteCutError as exc:
             exc.index = index
             results.append(exc)
-
-    run(0)
-    for j, batch in enumerate(updates, start=1):
-        for arc_index, cap in batch:
-            if not 0 <= arc_index < len(network.arcs):
-                raise ValueError(f"arc index {arc_index} out of range")
-            tail, head, _ = network.arcs[arc_index]
-            if tail not in (network.source, network.sink) and head not in (network.source, network.sink):
-                raise ValueError(f"arc {arc_index} is not incident to the source or sink")
-            solver.set_capacity(arc_index, cap)
-        run(j)
     return results

@@ -20,7 +20,12 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .core import EdgeVector, Hypergraph, LoopPresentError, Partition
-from .gadgets import build_arboricity_gadget, interpret_gadget_cut
+from .gadgets import (
+    build_arboricity_gadget,
+    build_supermodular_gadget,
+    forced_sweep,
+    interpret_gadget_cut,
+)
 from .mincut import min_st_cut
 from .partition_oracle import min_partition
 
@@ -128,11 +133,12 @@ def arboricity(h: Hypergraph) -> ArboricityResult:
             assert value <= 0
         else:
             # every nonempty W scores positive; sweep to find the exact
-            # minimum over nonempty sets
+            # minimum over nonempty sets, on the density gadget written as
+            # charge `density` per vertex and unit edge weights
             best: tuple[Fraction, frozenset[int]] | None = None
-            for forced in range(h.n):
-                g = build_arboricity_gadget(h, density, forced=forced)
-                info = interpret_gadget_cut(g, min_st_cut(g.network))
+            ones = EdgeVector.ones(h.m)
+            g = build_supermodular_gadget(h, ones, [density] * h.n, forced=0)
+            for info in forced_sweep(g, ones):
                 val = density * len(info.witness) - len(info.edges_inside)
                 if best is None or val < best[0]:
                     best = (val, info.witness)

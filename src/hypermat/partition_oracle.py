@@ -29,7 +29,7 @@ from typing import Iterable
 
 from .core import EdgeVector, Hypergraph, Partition, as_fraction
 from .gadgets import build_supermodular_gadget
-from .mincut import _Solver, INF
+from .mincut import INF, CutEngine
 
 
 @dataclass
@@ -103,8 +103,7 @@ def min_partition(h: Hypergraph, weights: EdgeVector, threshold: Fraction,
     neg_total = Fraction(0)  # sum of negative charges, tracked incrementally
 
     gadget = build_supermodular_gadget(h, weights, charges, forced=0, edge_ids=ids)
-    net = gadget.network
-    solver = _Solver(net.node_count, net.arcs, net.source, net.sink)
+    engine = CutEngine(gadget.network)
     # builder layout contract: source arc of v at position v, sink arc at n + v
     forced_prev = 0
 
@@ -116,17 +115,17 @@ def min_partition(h: Hypergraph, weights: EdgeVector, threshold: Fraction,
         if value < 0:
             neg_total += value
         charges[v] = value
-        solver.set_capacity(v, value if value > 0 else Fraction(0))
+        engine.set_capacity(v, value if value > 0 else Fraction(0))
         if v != forced_prev:
-            solver.set_capacity(n + v, -value if value < 0 else Fraction(0))
+            engine.set_capacity(n + v, -value if value < 0 else Fraction(0))
 
     def set_forced(v: int) -> None:
         nonlocal forced_prev
         old = forced_prev
         forced_prev = v
         c = charges[old]
-        solver.set_capacity(n + old, -c if c < 0 else Fraction(0))
-        solver.set_capacity(n + v, INF)
+        engine.set_capacity(n + old, -c if c < 0 else Fraction(0))
+        engine.set_capacity(n + v, INF)
 
     covered = bytearray(n)
     family: list[frozenset[int]] = []
@@ -144,7 +143,7 @@ def min_partition(h: Hypergraph, weights: EdgeVector, threshold: Fraction,
         state.steps += 1
         assert state.steps <= n, "greedy exceeded |V| steps"
         set_forced(pivot)
-        cut = solver.solve()
+        cut = engine.solve()
         side = cut.source_side
         tight = frozenset(v for v in range(n) if (2 + v) not in side)
         # cut capacity = charge(tight) - weights(inside tight) + total - neg_total,

@@ -27,6 +27,10 @@ from hypermat.brute import (
 from helpers import random_hypergraph, random_point, random_weights
 
 
+def _no_cut(*args, **kwargs):
+    raise AssertionError("the partition oracle ran")
+
+
 class TestRank:
     def test_examples(self, h0, h1, k4):
         assert rank(h0).rank == 2
@@ -103,6 +107,22 @@ class TestIndependence:
             m = rng.randint(0, 8)
             h = random_hypergraph(rng, n, m, max_size=min(4, n))
             assert is_independent(h) == brute_hyperforest(h)
+
+    def test_oversized_set_needs_no_cut(self, monkeypatch):
+        # more than n - 1 edges exceed every rank: answered before any cut
+        rng = random.Random(0x0E5)
+        sizes = []
+        for _ in range(40):
+            n = rng.randint(2, 6)
+            h = random_hypergraph(rng, n, rng.randint(0, 9), max_size=min(4, n))
+            sizes.append(h.m > n - 1)
+            expected = brute_hyperforest(h)
+            if h.m > n - 1:
+                with monkeypatch.context() as patched:
+                    patched.setattr("hypermat.matroid.min_partition", _no_cut)
+                    assert is_independent(h) is False
+            assert is_independent(h) == expected
+        assert any(sizes) and not all(sizes)
 
 
 class TestMaxWeightHyperforest:

@@ -4,7 +4,15 @@ from fractions import Fraction
 
 import pytest
 
-from hypermat import INF, CutResult, FlowNetwork, NoFiniteCutError, min_st_cut, min_st_cut_sequence
+from hypermat import (
+    INF,
+    CutEngine,
+    CutResult,
+    FlowNetwork,
+    NoFiniteCutError,
+    min_st_cut,
+    min_st_cut_sequence,
+)
 
 
 def brute_cut(net: FlowNetwork):
@@ -232,3 +240,128 @@ class TestSequence:
                 fresh = min_st_cut(FlowNetwork(node_count, tuple(current), 0, node_count - 1))
                 assert results[j].capacity == fresh.capacity
                 assert results[j].source_side == fresh.source_side
+
+    def test_sequence_random_revision_kinds(self):
+        # warm re-solves against fresh solves over revisions that force the
+        # shift: infinite arcs turned finite under flow, new denominators,
+        # states with no finite cut, vertices with one terminal arc and
+        # direct source-sink arcs
+        rng = random.Random(0x66A7)
+        seen = {"unforce": 0, "recovered": 0, "shifted": 0, "hidden": 0, "direct": 0}
+        for trial in range(120):
+            node_count = rng.randint(3, 7)
+            s, t = 0, node_count - 1
+            arcs: list[tuple[int, int, object]] = []
+            both = []  # vertices with a source and a sink arc
+            for v in range(1, t):
+                layout = rng.choice(("both", "both", "source", "sink", "none"))
+                if layout in ("both", "source"):
+                    arcs.append((s, v, _random_cap(rng)))
+                if layout in ("both", "sink"):
+                    arcs.append((v, t, _random_cap(rng)))
+                if layout == "both":
+                    both.append(v)
+                for w in range(1, t):
+                    if w != v and rng.random() < 0.35:
+                        arcs.append((v, w, INF if rng.random() < 0.2 else _random_cap(rng)))
+            for _ in range(rng.randint(0, 2)):
+                arcs.append((s, t, _random_cap(rng)))
+            if rng.random() < 0.3:
+                arcs.append((rng.randint(1, t), s, _random_cap(rng)))
+            terminal = [i for i, (a, b, _) in enumerate(arcs) if a in (s, t) or b in (s, t)]
+            if not terminal:
+                continue
+            net = FlowNetwork(node_count, tuple(arcs), s, t)
+            current = list(net.arcs)
+            batches = []
+            for _ in range(rng.randint(3, 8)):
+                if both and rng.random() < 0.15:
+                    # a source-to-sink path of infinite arcs, undone next batch
+                    v = rng.choice(both)
+                    pair = [i for i, (a, b, _) in enumerate(arcs) if (a, b) in ((s, v), (v, t))]
+                    batches.append([(i, INF) for i in pair])
+                    batches.append([(i, _random_cap(rng)) for i in pair])
+                    continue
+                batch = []
+                for _ in range(rng.randint(1, 3)):
+                    i = rng.choice(terminal)
+                    batch.append((i, INF if rng.random() < 0.25 else _random_cap(rng)))
+                batches.append(batch)
+
+            engine = CutEngine(net)
+            results = min_st_cut_sequence(net, batches)
+            fresh_results = [_fresh(net, current)]
+            for batch in batches:
+                for idx, cap in batch:
+                    tail, head, old = current[idx]
+                    current[idx] = (tail, head, cap)
+                    shift = Fraction(engine.shift, engine.scale)
+                    engine.set_capacity(idx, cap)
+                    # an infinite arc made finite below its flow shifts the cuts
+                    seen["unforce"] += old is INF and Fraction(engine.shift, engine.scale) > shift
+                    seen["direct"] += (tail, head) == (s, t)
+                fresh_results.append(_fresh(net, current))
+                try:
+                    engine.solve()
+                except NoFiniteCutError:
+                    pass
+            for j, (got, fresh) in enumerate(zip(results, fresh_results)):
+                if fresh is None:
+                    assert isinstance(got, NoFiniteCutError) and got.index == j
+                    continue
+                assert isinstance(got, CutResult), f"trial {trial} state {j}"
+                assert got.capacity == fresh.capacity, f"trial {trial} state {j}"
+                assert got.source_side == fresh.source_side, f"trial {trial} state {j}"
+                if j and isinstance(results[j - 1], NoFiniteCutError):
+                    seen["recovered"] += 1
+            seen["shifted"] += engine.shift > 0
+            seen["hidden"] += len(engine.caps) > len(net.arcs)
+        assert all(count >= 5 for count in seen.values()), seen
+
+
+def _random_cap(rng: random.Random) -> Fraction:
+    return Fraction(rng.randint(0, 9), rng.choice((1, 1, 2, 3, 5, 7, 11)))
+
+
+def _fresh(net: FlowNetwork, arcs: list) -> CutResult | None:
+    try:
+        return min_st_cut(FlowNetwork(net.node_count, tuple(arcs), net.source, net.sink))
+    except NoFiniteCutError:
+        return None
+
+
+class TestCutEngine:
+    def test_unforce_under_flow_shifts(self):
+        # s=0 -> a=1 (5), a -> t=3 (INF), a -> b=2 (3), b -> t (4)
+        arcs = ((0, 1, Fraction(5)), (1, 3, INF), (1, 2, Fraction(3)), (2, 3, Fraction(4)))
+        engine = CutEngine(FlowNetwork(4, arcs, 0, 3))
+        assert engine.solve().capacity == 5
+        engine.set_capacity(1, Fraction(1))  # the INF arc carries 5
+        assert engine.shift == 4
+        cut = engine.solve()
+        assert cut.capacity == 4 and cut.source_side == frozenset({0, 1})
+        assert cut == min_st_cut(FlowNetwork(4, (arcs[0], (1, 3, Fraction(1))) + arcs[2:], 0, 3))
+
+    def test_single_terminal_vertex_gets_hidden_partner(self):
+        arcs = ((0, 1, Fraction(5)), (1, 2, Fraction(5)), (2, 3, Fraction(5)))
+        engine = CutEngine(FlowNetwork(4, arcs, 0, 3))
+        assert engine.solve().capacity == 5
+        engine.set_capacity(0, Fraction(2))
+        assert len(engine.caps) == len(arcs) + 1
+        cut = engine.solve()
+        assert cut.capacity == 2 and cut.source_side == frozenset({0})
+        with pytest.raises(ValueError):
+            engine.set_capacity(len(arcs), Fraction(1))  # hidden arcs are not revisable
+
+    def test_direct_arc_lowered_under_flow(self):
+        arcs = ((0, 2, Fraction(3)), (0, 1, Fraction(1)), (1, 2, Fraction(1)))
+        engine = CutEngine(FlowNetwork(3, arcs, 0, 2))
+        assert engine.solve().capacity == 4
+        engine.set_capacity(0, Fraction(1, 2))
+        assert engine.shift == 0
+        assert engine.solve().capacity == Fraction(3, 2)
+
+    def test_rejects_negative_capacity(self):
+        engine = CutEngine(FlowNetwork(2, ((0, 1, Fraction(1)),), 0, 1))
+        with pytest.raises(ValueError):
+            engine.set_capacity(0, Fraction(-1))
