@@ -14,7 +14,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from fractions import Fraction
 from typing import Callable, Sequence
 
 from . import brute
@@ -30,7 +29,6 @@ from .core import (
 from .matroid import (
     BoundViolation,
     InPolytope,
-    SetViolation,
     is_independent,
     max_weight_hyperforest,
     rank,

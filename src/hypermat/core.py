@@ -5,6 +5,10 @@ with dense ids 0..m-1.  Parallel copies of an edge are deliberately kept
 as distinct ids: several algorithms in this package work on edge
 multisets, and two copies of the same vertex set are two different edges.
 
+Vertex sets are plain sorted tuples and partitions carry a per-vertex
+block label array, so memory and the edge queries (`induced_edges`,
+`cross_edges`) grow linearly in n plus the total edge size.
+
 All numeric data is exact rational arithmetic (`fractions.Fraction`).
 Nothing in this package ever rounds.
 """
@@ -12,10 +16,9 @@ Nothing in this package ever rounds.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import cached_property
-from typing import Iterable, Iterator, Mapping, Sequence
+from typing import Iterable, Iterator, Sequence
 
 
 class HypergraphFormatError(ValueError):
@@ -82,21 +85,17 @@ class Hyperedge:
         return len(self.vertices) == 1
 
 
-def _mask(vertices: Iterable[int]) -> int:
-    bits = 0
-    for v in vertices:
-        bits |= 1 << v
-    return bits
-
-
 class Hypergraph:
     """Immutable hypergraph with dense vertex ids 0..n-1 and edge ids 0..m-1.
 
     Edges may be given as vertex iterables (ids are assigned by position)
     or as Hyperedge objects whose ids must already match their position.
+    Each edge keeps only its sorted vertex tuple; the edge queries read
+    those tuples against a vertex set or a per-vertex block label, so
+    every query costs O(n + sum of edge sizes).
     """
 
-    __slots__ = ("n", "edges", "_masks")
+    __slots__ = ("n", "edges")
 
     def __init__(self, n: int, edges: Iterable[Sequence[int] | Hyperedge] = ()) -> None:
         if n < 0:
@@ -113,7 +112,6 @@ class Hypergraph:
             built.append(e)
         self.n = n
         self.edges: tuple[Hyperedge, ...] = tuple(built)
-        self._masks: tuple[int, ...] = tuple(_mask(e.vertices) for e in built)
 
     @property
     def m(self) -> int:
@@ -146,9 +144,9 @@ class Hypergraph:
     def induced_edges(self, edge_ids: Iterable[int] | None, vertex_set: Iterable[int]) -> frozenset[int]:
         """Ids of the selected edges entirely contained in the vertex set."""
         ids = self._edge_id_list(edge_ids)
-        xm = _mask(self._check_vertices(vertex_set))
-        masks = self._masks
-        return frozenset(e for e in ids if masks[e] & ~xm == 0)
+        inside = set(self._check_vertices(vertex_set))
+        edges = self.edges
+        return frozenset(e for e in ids if inside.issuperset(edges[e].vertices))
 
     def cross_edges(self, edge_ids: Iterable[int] | None, blocks: "Partition | Iterable[Iterable[int]]") -> frozenset[int]:
         """Ids of the selected edges crossing a family of disjoint blocks.
@@ -161,34 +159,38 @@ class Hypergraph:
         if isinstance(blocks, Partition):
             if blocks.n != self.n:
                 raise ValueError("partition is over a different vertex count")
-            block_iter: list[Iterable[int]] = list(blocks.blocks)
+            label: Sequence[int] = blocks._label
         else:
-            block_iter = [tuple(b) for b in blocks]
-        bmasks: list[int] = []
-        union = 0
-        for b in block_iter:
-            bm = _mask(self._check_vertices(b))
-            if bm == 0:
-                raise ValueError("empty block")
-            if bm & union:
-                raise ValueError("blocks are not disjoint")
-            union |= bm
-            bmasks.append(bm)
+            label = self._block_labels([tuple(b) for b in blocks])
         ids = self._edge_id_list(edge_ids)
-        masks = self._masks
+        edges = self.edges
+        get = label.__getitem__
         out = []
         for e in ids:
-            em = masks[e]
-            if em & ~union:
-                continue
-            hits = 0
-            for bm in bmasks:
-                if em & bm:
-                    hits += 1
-                    if hits >= 2:
-                        out.append(e)
-                        break
+            hit = set(map(get, edges[e].vertices))
+            # -1 marks a vertex off the union of the blocks
+            if len(hit) > 1 and -1 not in hit:
+                out.append(e)
         return frozenset(out)
+
+    def _block_labels(self, blocks: list[tuple[int, ...]]) -> list[int]:
+        """Per-vertex index of the block holding it, -1 off their union.
+
+        Validates the family block by block: vertices in range, no empty
+        block, no vertex in two blocks.  A vertex repeated inside one
+        block is harmless and accepted.
+        """
+        label = [-1] * self.n
+        for i, b in enumerate(blocks):
+            self._check_vertices(b)
+            if not b:
+                raise ValueError("empty block")
+            for v in b:
+                if label[v] != i:
+                    if label[v] >= 0:
+                        raise ValueError("blocks are not disjoint")
+                    label[v] = i
+        return label
 
     def _check_vertices(self, vertices: Iterable[int]) -> list[int]:
         vs = list(vertices)
@@ -198,33 +200,52 @@ class Hypergraph:
         return vs
 
 
+_COVER = "blocks must cover exactly the vertices 0..n-1"
+
+
 @dataclass(frozen=True)
 class Partition:
     """Disjoint nonempty vertex blocks covering 0..n-1, canonically ordered.
 
     Blocks are stored sorted, and ordered among themselves by smallest
     element, so two partitions with the same blocks compare equal and
-    hash alike no matter how they were built.
+    hash alike no matter how they were built.  Alongside the blocks a
+    partition keeps a per-vertex label array, the index of each vertex's
+    block; it takes no part in equality, hashing or repr.
     """
 
     n: int
     blocks: tuple[tuple[int, ...], ...]
+    _label: tuple[int, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         norm = tuple(sorted((tuple(sorted(b)) for b in self.blocks), key=lambda b: b[0] if b else -1))
-        seen = 0
-        for b in norm:
+        n = self.n
+        label = [-1] * n
+        # vertices at or above n are only remembered for the disjointness
+        # check; they fail the cover check once every block has been seen
+        beyond: set[int] = set()
+        for i, b in enumerate(norm):
             if not b:
                 raise ValueError("empty block")
-            bm = _mask(b)
-            if len(b) != bin(bm).count("1"):
-                raise ValueError("block repeats a vertex")
-            if bm & seen:
-                raise ValueError("blocks are not disjoint")
-            seen |= bm
-        if seen != (1 << self.n) - 1 or (norm and (min(norm[0]) < 0)):
-            raise ValueError("blocks must cover exactly the vertices 0..n-1")
+            if b[0] < 0:
+                raise ValueError(_COVER)
+            for u, v in zip(b, b[1:]):
+                if u == v:
+                    raise ValueError("block repeats a vertex")
+            for v in b:
+                if v < n:
+                    if label[v] >= 0:
+                        raise ValueError("blocks are not disjoint")
+                    label[v] = i
+                elif v in beyond:
+                    raise ValueError("blocks are not disjoint")
+                else:
+                    beyond.add(v)
+        if n < 0 or beyond or -1 in label:
+            raise ValueError(_COVER)
         object.__setattr__(self, "blocks", norm)
+        object.__setattr__(self, "_label", tuple(label))
 
     @classmethod
     def singletons(cls, n: int) -> "Partition":
@@ -237,19 +258,11 @@ class Partition:
     def __iter__(self) -> Iterator[tuple[int, ...]]:
         return iter(self.blocks)
 
-    @cached_property
-    def _block_of(self) -> dict[int, int]:
-        out: dict[int, int] = {}
-        for i, b in enumerate(self.blocks):
-            for v in b:
-                out[v] = i
-        return out
-
     def block_index(self, v: int) -> int:
-        return self._block_of[v]
-
-    def as_sets(self) -> tuple[frozenset[int], ...]:
-        return tuple(frozenset(b) for b in self.blocks)
+        """Index in `blocks` of the block holding v; KeyError if v is no vertex."""
+        if isinstance(v, int) and 0 <= v < self.n:
+            return self._label[v]
+        raise KeyError(v)
 
 
 class EdgeVector:

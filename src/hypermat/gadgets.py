@@ -34,7 +34,10 @@ class GadgetGraph:
     maps edge ids to (entry, exit) node pairs for the edge-split kinds;
     edge_nodes maps edge ids to their single node in the independence
     gadget.  The kind-specific parameters needed to verify the capacity
-    identity ride along.
+    identity ride along.  capacity_offset is the term of that identity
+    no cut changes (x of the selected edges less the negative charges,
+    or |E| for the density kind): None has each interpretation sum it,
+    and a sweep fills it in once for all of its cuts.
     """
 
     kind: str
@@ -50,6 +53,7 @@ class GadgetGraph:
     distinguished: int | None = None
     charges: tuple[Fraction, ...] | None = None
     density: Fraction | None = None
+    capacity_offset: Fraction | None = None
 
 
 @dataclass(frozen=True)
@@ -58,7 +62,10 @@ class GadgetCutInterpretation:
 
     witness is W, the sink-side vertex set; edges_inside are exactly the
     edges contained in W; edges_spanning have only their entry node on
-    the source side; edges_source have both split nodes there.
+    the source side; edges_source have both split nodes there.  value
+    is the gadget's set function at W: |W| - x(E[W]) for the polytope
+    gadget, charge(W) - x(E[W]) for the supermodular one and
+    density * |W| - |E[W]| for the arboricity one.
     """
 
     source_vertices: frozenset[int]
@@ -66,6 +73,7 @@ class GadgetCutInterpretation:
     edges_spanning: frozenset[int]
     edges_source: frozenset[int]
     edges_inside: frozenset[int]
+    value: Fraction
 
 
 def _split_section(arcs: list[tuple[int, int, Cap]], n: int, sink: int,
@@ -236,6 +244,9 @@ def interpret_gadget_cut(g: GadgetGraph, cut: CutResult,
     """
     if g.kind not in ("polytope", "cover", "density"):
         raise ValueError(f"not an edge-split gadget: {g.kind}")
+    offset = g.capacity_offset
+    if offset is None:
+        offset = _capacity_offset(g, x)
     side = cut.source_side
     source_vertices = frozenset(v for v, node in g.vertex_nodes.items() if node in side)
     witness = frozenset(g.vertex_nodes) - source_vertices
@@ -262,27 +273,34 @@ def interpret_gadget_cut(g: GadgetGraph, cut: CutResult,
     if g.forced is not None:
         assert g.forced in witness, "forced vertex escaped the witness"
 
-    if g.kind == "polytope":
-        assert x is not None, "polytope interpretation needs the point"
-        x_all = x.sum_over(g.edge_ids)
-        x_inside = x.sum_over(inside_set)
-        assert cut.capacity == len(witness) - x_inside + x_all, "capacity identity failed"
-    elif g.kind == "cover":
-        assert x is not None and g.charges is not None
-        x_all = x.sum_over(g.edge_ids)
-        x_inside = x.sum_over(inside_set)
-        charge_w = sum((g.charges[v] for v in witness), Fraction(0))
-        neg = sum((c for c in g.charges if c < 0), Fraction(0))
-        assert cut.capacity == charge_w - x_inside + x_all - neg, "capacity identity failed"
-    else:
+    if g.kind == "density":
         assert g.density is not None
-        assert cut.capacity == g.density * len(witness) - len(inside_set) + len(g.edges), \
-            "capacity identity failed"
+        value = g.density * len(witness) - len(inside_set)
+    else:
+        assert x is not None
+        if g.kind == "polytope":
+            charge_w = Fraction(len(witness))
+        else:
+            assert g.charges is not None
+            charge_w = sum((g.charges[v] for v in witness), Fraction(0))
+        value = charge_w - x.sum_over(inside_set)
+    assert cut.capacity == value + offset, "capacity identity failed"
     return GadgetCutInterpretation(
         source_vertices=source_vertices, witness=witness,
         edges_spanning=frozenset(spanning), edges_source=frozenset(on_source),
-        edges_inside=inside_set,
+        edges_inside=inside_set, value=value,
     )
+
+
+def _capacity_offset(g: GadgetGraph, x: EdgeVector | None) -> Fraction:
+    # the term of the capacity identity that no cut changes
+    if g.kind == "polytope":
+        assert x is not None, "polytope interpretation needs the point"
+        return x.sum_over(g.edge_ids)
+    if g.kind == "cover":
+        assert x is not None and g.charges is not None
+        return x.sum_over(g.edge_ids) - sum((c for c in g.charges if c < 0), Fraction(0))
+    return Fraction(len(g.edges))
 
 
 def forced_sweep(g: GadgetGraph, x: EdgeVector) -> Iterator[GadgetCutInterpretation]:
@@ -295,6 +313,7 @@ def forced_sweep(g: GadgetGraph, x: EdgeVector) -> Iterator[GadgetCutInterpretat
     if g.kind != "cover" or g.charges is None or g.forced is None:
         raise ValueError("forced sweeps need a supermodular gadget")
     n = len(g.charges)
+    offset = _capacity_offset(g, x)
     engine = CutEngine(g.network)
     prev = g.forced
     for v in range(n):
@@ -303,7 +322,8 @@ def forced_sweep(g: GadgetGraph, x: EdgeVector) -> Iterator[GadgetCutInterpretat
             engine.set_capacity(n + prev, -c if c < 0 else Fraction(0))
             engine.set_capacity(n + v, INF)
             prev = v
-        yield interpret_gadget_cut(replace(g, forced=v), engine.solve(), x)
+        yield interpret_gadget_cut(replace(g, forced=v, capacity_offset=offset),
+                                   engine.solve(), x)
 
 
 def interpret_independence_cut(g: GadgetGraph, cut: CutResult) -> tuple[int, frozenset[int]]:

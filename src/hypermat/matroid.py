@@ -166,9 +166,8 @@ def separate_polytope(h: Hypergraph, x: EdgeVector) -> SeparationOutcome:
         # reads |W| - x(E[W]) + x(E)
         g = build_supermodular_gadget(h, x, [Fraction(1)] * h.n, forced=0)
         for info in forced_sweep(g, x):
-            value = len(info.witness) - x.sum_over(info.edges_inside)
-            if best is None or value < best[0]:
-                best = (value, info.witness)
+            if best is None or info.value < best[0]:
+                best = (info.value, info.witness)
     if best is not None and best[0] < 1:
         witness = best[1]
         edge_set = h.induced_edges(None, witness)

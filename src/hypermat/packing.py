@@ -129,8 +129,7 @@ def arboricity(h: Hypergraph) -> ArboricityResult:
         if cand:
             # min over all W (empty included) is <= 0 and this maximal
             # minimizer attains it, so it is the exact densest set
-            value = density * len(cand) - len(info.edges_inside)
-            assert value <= 0
+            assert info.value <= 0
         else:
             # every nonempty W scores positive; sweep to find the exact
             # minimum over nonempty sets, on the density gadget written as
@@ -139,9 +138,8 @@ def arboricity(h: Hypergraph) -> ArboricityResult:
             ones = EdgeVector.ones(h.m)
             g = build_supermodular_gadget(h, ones, [density] * h.n, forced=0)
             for info in forced_sweep(g, ones):
-                val = density * len(info.witness) - len(info.edges_inside)
-                if best is None or val < best[0]:
-                    best = (val, info.witness)
+                if best is None or info.value < best[0]:
+                    best = (info.value, info.witness)
             assert best is not None and best[0] > 0
             if best[0] == density:
                 # only singletons attain the minimum: no set beats the
@@ -151,7 +149,7 @@ def arboricity(h: Hypergraph) -> ArboricityResult:
                                            len(witness) - 1)
                 return ArboricityResult(rho=density, k=k, witness=witness,
                                         iterations=iterations)
-            value, cand = best
+            cand = best[1]
         size = len(cand)
         assert size >= 2, "improving set cannot be a singleton"
         inside = len(h.induced_edges(None, cand))

@@ -2,6 +2,8 @@ import warnings
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hypermat import (
     DuplicateVertexInEdge,
@@ -114,6 +116,118 @@ class TestPartition:
 
     def test_size(self):
         assert len(list(Partition.singletons(4))) == 4
+
+    def test_label_stays_out_of_equality_hash_and_repr(self):
+        p = Partition(3, ((2,), (0, 1)))
+        q = Partition(3, ((1, 0), (2,)))
+        assert p == q and hash(p) == hash(q) and {p: 1}[q] == 1
+        assert repr(p) == "Partition(n=3, blocks=((0, 1), (2,)))"
+
+    def test_block_index_rejects_non_vertices(self):
+        p = Partition(3, ((0, 1), (2,)))
+        for v in (-1, 3, "0"):
+            with pytest.raises(KeyError):
+                p.block_index(v)
+
+    @pytest.mark.parametrize("n,blocks,message", [
+        (3, ((0, 1), (1, 2)), "blocks are not disjoint"),
+        (3, ((0, 1), ()), "empty block"),
+        (3, ((0, 0), (1, 2)), "block repeats a vertex"),
+        (3, ((0, 1),), "blocks must cover exactly the vertices 0..n-1"),
+        (3, ((0, 1), (2, 3)), "blocks must cover exactly the vertices 0..n-1"),
+        (3, ((-1, 0), (1, 2)), "blocks must cover exactly the vertices 0..n-1"),
+        (3, ((0, 3), (1, 2), (3,)), "blocks are not disjoint"),
+        (-1, (), "blocks must cover exactly the vertices 0..n-1"),
+    ])
+    def test_validation_messages(self, n, blocks, message):
+        with pytest.raises(ValueError) as err:
+            Partition(n, blocks)
+        assert str(err.value) == message
+
+
+@st.composite
+def labelled_instances(draw, partial: bool):
+    """A small hypergraph and a block label per vertex (-1: in no block)."""
+    n = draw(st.integers(1, 7))
+    edges = draw(st.lists(
+        st.lists(st.integers(0, n - 1), min_size=1, max_size=n, unique=True), max_size=10))
+    low = -1 if partial else 0
+    labels = draw(st.lists(st.integers(low, 3), min_size=n, max_size=n))
+    return Hypergraph(n, edges), labels
+
+
+def _blocks(labels):
+    found = sorted({b for b in labels if b >= 0})
+    return [[v for v, b in enumerate(labels) if b == lab] for lab in found]
+
+
+def _selection(ids, m):
+    return None if ids is None else [e for e in ids if e < m]
+
+
+class TestEdgeQueriesAgainstRecount:
+    """cross_edges, induced_edges and block_index against a naive recount from vertex sets."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(labelled_instances(partial=False), st.none() | st.lists(st.integers(0, 9)))
+    def test_partition(self, inst, draw_ids):
+        h, labels = inst
+        blocks = _blocks(labels)
+        p = Partition(h.n, tuple(tuple(b) for b in blocks))
+        ids = _selection(draw_ids, h.m)
+        chosen = range(h.m) if ids is None else set(ids)
+        expect = frozenset(e for e in chosen
+                           if sum(1 for b in blocks if set(b) & set(h.edges[e].vertices)) >= 2)
+        assert h.cross_edges(ids, p) == expect
+        assert h.cross_edges(ids, blocks) == expect
+        for v in range(h.n):
+            assert set(p.blocks[p.block_index(v)]) == {u for u in range(h.n) if labels[u] == labels[v]}
+
+    @settings(max_examples=150, deadline=None)
+    @given(labelled_instances(partial=True), st.none() | st.lists(st.integers(0, 9)))
+    def test_partial_family(self, inst, draw_ids):
+        h, labels = inst
+        blocks = _blocks(labels)
+        ids = _selection(draw_ids, h.m)
+        chosen = range(h.m) if ids is None else set(ids)
+        union = {v for b in blocks for v in b}
+        expect = frozenset(
+            e for e in chosen
+            if set(h.edges[e].vertices) <= union
+            and sum(1 for b in blocks if set(b) & set(h.edges[e].vertices)) >= 2)
+        assert h.cross_edges(ids, blocks) == expect
+        # a vertex repeated inside its own block changes nothing
+        assert h.cross_edges(ids, [b + b[:1] for b in blocks]) == expect
+        assert h.induced_edges(ids, union) == frozenset(
+            e for e in chosen if set(h.edges[e].vertices) <= union)
+
+    @settings(max_examples=100, deadline=None)
+    @given(labelled_instances(partial=True), st.lists(st.integers(0, 6)))
+    def test_induced_edges(self, inst, vertex_list):
+        h, _ = inst
+        vertex_list = [v for v in vertex_list if v < h.n]
+        assert h.induced_edges(None, vertex_list) == frozenset(
+            e for e in range(h.m) if set(h.edges[e].vertices) <= set(vertex_list))
+
+    def test_vertex_repeated_inside_one_block_is_accepted(self):
+        h = Hypergraph(2, [[0, 1]])
+        assert h.cross_edges(None, [(0, 0), (1,)]) == frozenset({0})
+
+    @pytest.mark.parametrize("blocks,message", [
+        ([(0,), ()], "empty block"),
+        ([(0, 1), (1, 2)], "blocks are not disjoint"),
+        ([(0,), (3,)], "vertex 3 outside 0..2"),
+        ([(-1,), (0,)], "vertex -1 outside 0..2"),
+    ])
+    def test_bad_block_families(self, blocks, message):
+        h = Hypergraph(3, [[0, 1, 2]])
+        with pytest.raises(ValueError) as err:
+            h.cross_edges(None, blocks)
+        assert str(err.value) == message
+
+    def test_partition_over_other_vertex_count(self):
+        with pytest.raises(ValueError):
+            Hypergraph(3, [[0, 1]]).cross_edges(None, Partition.singletons(4))
 
 
 class TestEdgeVector:

@@ -12,6 +12,7 @@ from hypermat import (
     build_independence_gadget,
     build_polytope_gadget,
     build_supermodular_gadget,
+    forced_sweep,
     interpret_gadget_cut,
     interpret_independence_cut,
     min_st_cut,
@@ -105,7 +106,21 @@ class TestSupermodularGadget:
             interp = interpret_gadget_cut(g, cut, x)
             inside = sum(charges[v] for v in interp.witness) \
                 - x.sum_over(h1.induced_edges(None, interp.witness))
-            assert inside == best
+            assert inside == best and interp.value == best
+
+    def test_forced_sweep_matches_fresh_cuts(self, h1):
+        # the sweep sums the cut-independent term once; every cut must still
+        # read back exactly as a fresh gadget forced at that vertex does
+        charges = [Fraction(2), Fraction(-1), Fraction(3), Fraction(1)]
+        x = EdgeVector.of([1, "1/2", "1/3"])
+        g = build_supermodular_gadget(h1, x, charges, forced=0)
+        swept = list(forced_sweep(g, x))
+        assert len(swept) == h1.n
+        for v, info in enumerate(swept):
+            fresh = build_supermodular_gadget(h1, x, charges, forced=v)
+            ref = interpret_gadget_cut(fresh, min_st_cut(fresh.network), x)
+            assert (info.witness, info.edges_inside, info.value) \
+                == (ref.witness, ref.edges_inside, ref.value)
 
     def test_edge_subset_restriction(self, h1):
         charges = [Fraction(1)] * 4
