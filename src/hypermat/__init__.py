@@ -32,10 +32,10 @@ from .mincut import (
 )
 from .gadgets import (
     GadgetCutInterpretation,
+    GadgetEngine,
     GadgetGraph,
-    build_arboricity_gadget,
+    IndependenceGadget,
     build_independence_gadget,
-    build_polytope_gadget,
     build_supermodular_gadget,
     forced_sweep,
     interpret_gadget_cut,
@@ -80,6 +80,7 @@ __all__ = [
     "EdgeVector",
     "FlowNetwork",
     "GadgetCutInterpretation",
+    "GadgetEngine",
     "GadgetGraph",
     "GreedyState",
     "Hyperedge",
@@ -87,6 +88,7 @@ __all__ = [
     "HypergraphFormatError",
     "INF",
     "InPolytope",
+    "IndependenceGadget",
     "LoopPresentError",
     "MergeDescriptor",
     "NoFiniteCutError",
@@ -99,9 +101,7 @@ __all__ = [
     "StrengthResult",
     "arboricity",
     "as_fraction",
-    "build_arboricity_gadget",
     "build_independence_gadget",
-    "build_polytope_gadget",
     "build_supermodular_gadget",
     "canonicalize_merge",
     "cover_demand",

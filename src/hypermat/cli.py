@@ -272,12 +272,11 @@ def _cmd_oracle_check(args: argparse.Namespace) -> int:
         except (ValueError, LoopPresentError) as exc:
             checks.append({"op": op, "skipped": str(exc)})
 
-    record("rank", lambda: (
-        str(rank(h).rank), str(brute.brute_rank(h)),
-        rank(h).rank == brute.brute_rank(h)))
-    record("independent", lambda: (
-        str(is_independent(h)), str(brute.brute_hyperforest(h)),
-        is_independent(h) == brute.brute_hyperforest(h)))
+    def compare(main_value: object, oracle_value: object) -> tuple[str, str, bool]:
+        return str(main_value), str(oracle_value), main_value == oracle_value
+
+    record("rank", lambda: compare(rank(h).rank, brute.brute_rank(h)))
+    record("independent", lambda: compare(is_independent(h), brute.brute_hyperforest(h)))
     if h.n >= 2:
         def strength_check() -> tuple[str, str, bool]:
             s = strength(h, col0).sigma

@@ -268,32 +268,30 @@ class Partition:
 class EdgeVector:
     """Per-edge rational values: weights, capacities, costs, bounds, or a point.
 
-    The role label is informational; the operations that consume a vector
-    validate whatever that role actually requires (nonnegativity, length,
-    integrality) at the point of use.
+    The operations that consume a vector validate whatever their use
+    requires (nonnegativity, length, integrality) at the point of use.
     """
 
-    __slots__ = ("values", "role")
+    __slots__ = ("values",)
 
-    def __init__(self, values: Iterable[int | str | Fraction], role: str = "weight") -> None:
+    def __init__(self, values: Iterable[int | str | Fraction]) -> None:
         self.values: tuple[Fraction, ...] = tuple(as_fraction(v) for v in values)
-        self.role = role
 
     @classmethod
-    def of(cls, values: Iterable[int | str | Fraction], role: str = "weight") -> "EdgeVector":
-        return cls(values, role)
+    def of(cls, values: Iterable[int | str | Fraction]) -> "EdgeVector":
+        return cls(values)
 
     @classmethod
-    def constant(cls, m: int, value: int | str | Fraction, role: str = "weight") -> "EdgeVector":
-        return cls([as_fraction(value)] * m, role)
+    def constant(cls, m: int, value: int | str | Fraction) -> "EdgeVector":
+        return cls([as_fraction(value)] * m)
 
     @classmethod
-    def ones(cls, m: int, role: str = "weight") -> "EdgeVector":
-        return cls.constant(m, 1, role)
+    def ones(cls, m: int) -> "EdgeVector":
+        return cls.constant(m, 1)
 
     @classmethod
-    def zeros(cls, m: int, role: str = "weight") -> "EdgeVector":
-        return cls.constant(m, 0, role)
+    def zeros(cls, m: int) -> "EdgeVector":
+        return cls.constant(m, 0)
 
     def __len__(self) -> int:
         return len(self.values)
@@ -314,7 +312,7 @@ class EdgeVector:
 
     def __repr__(self) -> str:
         inner = ", ".join(format_rational(v) for v in self.values)
-        return f"EdgeVector([{inner}], role={self.role!r})"
+        return f"EdgeVector([{inner}])"
 
     def total(self) -> Fraction:
         return sum(self.values, Fraction(0))
@@ -414,7 +412,7 @@ def parse_hypergraph(text: str, strict: bool = True) -> tuple[Hypergraph, list[E
         edges.append(verts)
 
     h = Hypergraph(n, edges)
-    return h, [EdgeVector(col, role=f"column{i}") for i, col in enumerate(columns or [])]
+    return h, [EdgeVector(col) for col in columns or []]
 
 
 def serialize_hypergraph(h: Hypergraph, columns: Sequence[EdgeVector] = ()) -> str:

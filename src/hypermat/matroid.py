@@ -165,7 +165,7 @@ def separate_polytope(h: Hypergraph, x: EdgeVector) -> SeparationOutcome:
         # charge 1 per vertex makes the polytope gadget: its cut identity
         # reads |W| - x(E[W]) + x(E)
         g = build_supermodular_gadget(h, x, [Fraction(1)] * h.n, forced=0)
-        for info in forced_sweep(g, x):
+        for info in forced_sweep(g):
             if best is None or info.value < best[0]:
                 best = (info.value, info.witness)
     if best is not None and best[0] < 1:

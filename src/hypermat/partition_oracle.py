@@ -28,8 +28,7 @@ from fractions import Fraction
 from typing import Iterable
 
 from .core import EdgeVector, Hypergraph, Partition, as_fraction
-from .gadgets import build_supermodular_gadget
-from .mincut import INF, CutEngine
+from .gadgets import GadgetEngine, build_supermodular_gadget
 
 
 @dataclass
@@ -100,32 +99,9 @@ def min_partition(h: Hypergraph, weights: EdgeVector, threshold: Fraction,
     potentials = [start] * n
     charges = [start] * n
     charges[root] = start + threshold
-    neg_total = Fraction(0)  # sum of negative charges, tracked incrementally
-
-    gadget = build_supermodular_gadget(h, weights, charges, forced=0, edge_ids=ids)
-    engine = CutEngine(gadget.network)
-    # builder layout contract: source arc of v at position v, sink arc at n + v
-    forced_prev = 0
-
-    def set_charge(v: int, value: Fraction) -> None:
-        nonlocal neg_total
-        old = charges[v]
-        if old < 0:
-            neg_total -= old
-        if value < 0:
-            neg_total += value
-        charges[v] = value
-        engine.set_capacity(v, value if value > 0 else Fraction(0))
-        if v != forced_prev:
-            engine.set_capacity(n + v, -value if value < 0 else Fraction(0))
-
-    def set_forced(v: int) -> None:
-        nonlocal forced_prev
-        old = forced_prev
-        forced_prev = v
-        c = charges[old]
-        engine.set_capacity(n + old, -c if c < 0 else Fraction(0))
-        engine.set_capacity(n + v, INF)
+    gadget = build_supermodular_gadget(h, weights, charges, edge_ids=ids)
+    nodes = gadget.vertex_nodes
+    engine = GadgetEngine(gadget)
 
     covered = bytearray(n)
     family: list[frozenset[int]] = []
@@ -142,18 +118,19 @@ def min_partition(h: Hypergraph, weights: EdgeVector, threshold: Fraction,
             continue
         state.steps += 1
         assert state.steps <= n, "greedy exceeded |V| steps"
-        set_forced(pivot)
-        cut = engine.solve()
+        engine.force(pivot)
+        cut, value = engine.solve()
         side = cut.source_side
-        tight = frozenset(v for v in range(n) if (2 + v) not in side)
-        # cut capacity = charge(tight) - weights(inside tight) + total - neg_total,
-        # so the minimum slack over sets containing the pivot is:
-        slack = cut.capacity - threshold - total + neg_total
+        tight = frozenset(v for v, node in nodes.items() if node not in side)
+        # value = charge(tight) - weights(inside tight), and a set's charge is
+        # its potential plus the credit when it holds the root, so the
+        # minimum slack over sets containing the pivot is:
+        slack = value - threshold
         assert pivot in tight
         assert slack >= 0, "cover became infeasible"
         state.last_slack = slack
         potentials[pivot] -= slack
-        set_charge(pivot, potentials[pivot] + (threshold if pivot == root else Fraction(0)))
+        engine.set_charge(pivot, potentials[pivot] + (threshold if pivot == root else Fraction(0)))
         assert sum((potentials[v] for v in tight), Fraction(0)) == demand(tight), \
             "chosen set is not tight after the drop"
         # uncross: unions of intersecting tight sets stay tight

@@ -196,6 +196,19 @@ class TestOracleCheck:
         assert code == 3
         assert "MISMATCH" in capsys.readouterr().out
 
+    def test_each_brute_oracle_runs_once(self, write, capsys, monkeypatch):
+        import hypermat.cli as cli
+
+        calls = {"brute_rank": 0, "brute_hyperforest": 0}
+        for name in calls:
+            def counted(*args, _name=name, _fn=getattr(cli.brute, name), **kwargs):
+                calls[_name] += 1
+                return _fn(*args, **kwargs)
+            monkeypatch.setattr(cli.brute, name, counted)
+        code, data = run_json(capsys, ["oracle-check", write(K3), "--json"])
+        assert code == 0 and data["all_match"] is True
+        assert calls == {"brute_rank": 1, "brute_hyperforest": 1}
+
     def test_human_lines(self, write, capsys):
         assert main(["oracle-check", write(K3)]) == 0
         out = capsys.readouterr().out

@@ -2,15 +2,15 @@ import itertools
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hypermat import (
     INF,
     EdgeVector,
+    GadgetEngine,
     Hypergraph,
-    LoopPresentError,
-    build_arboricity_gadget,
     build_independence_gadget,
-    build_polytope_gadget,
     build_supermodular_gadget,
     forced_sweep,
     interpret_gadget_cut,
@@ -27,43 +27,53 @@ def vertex_subsets(n, forced=None):
             yield base | set(combo)
 
 
+def polytope_gadget(h, x, forced):
+    # charge 1 per vertex: the cut minimizes |W| - x(E[W]) over W holding `forced`
+    return build_supermodular_gadget(h, x, [Fraction(1)] * h.n, forced=forced)
+
+
+def density_gadget(h, density, forced=None):
+    # charge `density` per vertex and unit weights: density * |W| - |E[W]|
+    return build_supermodular_gadget(h, EdgeVector.ones(h.m), [density] * h.n, forced=forced)
+
+
 class TestPolytopeGadget:
     def test_node_and_arc_counts(self, h0):
-        g = build_polytope_gadget(h0, EdgeVector.of([1, "1/2"]), forced=0)
+        g = polytope_gadget(h0, EdgeVector.of([1, "1/2"]), forced=0)
         # source, sink, 3 vertex nodes, 2 split pairs
         assert g.network.node_count == 9
-        # 3 unit source arcs + 2 * (1 split + 6 infinite + 2 sink halves) + forced arc
-        assert len(g.network.arcs) == 22
+        # 3 unit source arcs + 3 sink arcs (the forced one infinite, the
+        # others zero) + 2 * (1 split + 6 infinite + 2 sink halves)
+        assert len(g.network.arcs) == 24
 
     def test_capacity_matches_set_minimum(self, h0):
         x = EdgeVector.of([1, "1/2"])
-        g = build_polytope_gadget(h0, x, forced=0)
+        g = polytope_gadget(h0, x, forced=0)
         cut = min_st_cut(g.network)
         best = min(
             len(w) - x.sum_over(h0.induced_edges(None, w)) + x.total()
             for w in vertex_subsets(3, forced=0)
         )
         assert cut.capacity == best == Fraction(5, 2)
-        interp = interpret_gadget_cut(g, cut, x)
+        interp = interpret_gadget_cut(g, cut)
         assert interp.witness == frozenset({0})
 
     def test_tie_break_is_maximal_witness(self, h0):
         # x = (1, 1) ties W = {0} with W = {0,1,2}; the larger witness wins
-        g = build_polytope_gadget(h0, EdgeVector.ones(2), forced=0)
-        interp = interpret_gadget_cut(g, min_st_cut(g.network), EdgeVector.ones(2))
+        g = polytope_gadget(h0, EdgeVector.ones(2), forced=0)
+        interp = interpret_gadget_cut(g, min_st_cut(g.network))
         assert interp.witness == frozenset({0, 1, 2})
         assert interp.edges_inside == frozenset({0, 1})
 
     def test_rejects_out_of_box_point(self, h0):
+        # x > 1 is screened by separate_polytope before any gadget is built
         with pytest.raises(ValueError):
-            build_polytope_gadget(h0, EdgeVector.of([1, "3/2"]), forced=0)
-        with pytest.raises(ValueError):
-            build_polytope_gadget(h0, EdgeVector.of([1, "-1/2"]), forced=0)
+            polytope_gadget(h0, EdgeVector.of([1, "-1/2"]), forced=0)
 
     def test_every_forced_vertex(self, h1):
         x = EdgeVector.of(["3/4", "3/4", "1/2"])
         for forced in range(h1.n):
-            g = build_polytope_gadget(h1, x, forced=forced)
+            g = polytope_gadget(h1, x, forced=forced)
             cut = min_st_cut(g.network)
             best = min(
                 len(w) - x.sum_over(h1.induced_edges(None, w)) + x.total()
@@ -80,11 +90,11 @@ class TestSupermodularGadget:
         arcs = g.network.arcs
         for v in range(h1.n):
             tail, head, cap = arcs[v]
-            assert (tail, head) == (g.source, g.vertex_nodes[v])
+            assert (tail, head) == (g.network.source, g.vertex_nodes[v])
             assert cap == max(charges[v], Fraction(0))
         for v in range(h1.n):
             tail, head, cap = arcs[h1.n + v]
-            assert (tail, head) == (g.vertex_nodes[v], g.sink)
+            assert (tail, head) == (g.vertex_nodes[v], g.network.sink)
             if v == 0:
                 assert cap is INF
             else:
@@ -103,7 +113,7 @@ class TestSupermodularGadget:
                 for w in vertex_subsets(h1.n, forced=forced)
             )
             assert cut.capacity == best + x.total() - neg
-            interp = interpret_gadget_cut(g, cut, x)
+            interp = interpret_gadget_cut(g, cut)
             inside = sum(charges[v] for v in interp.witness) \
                 - x.sum_over(h1.induced_edges(None, interp.witness))
             assert inside == best and interp.value == best
@@ -114,13 +124,21 @@ class TestSupermodularGadget:
         charges = [Fraction(2), Fraction(-1), Fraction(3), Fraction(1)]
         x = EdgeVector.of([1, "1/2", "1/3"])
         g = build_supermodular_gadget(h1, x, charges, forced=0)
-        swept = list(forced_sweep(g, x))
+        swept = list(forced_sweep(g))
         assert len(swept) == h1.n
         for v, info in enumerate(swept):
             fresh = build_supermodular_gadget(h1, x, charges, forced=v)
-            ref = interpret_gadget_cut(fresh, min_st_cut(fresh.network), x)
+            ref = interpret_gadget_cut(fresh, min_st_cut(fresh.network))
             assert (info.witness, info.edges_inside, info.value) \
                 == (ref.witness, ref.edges_inside, ref.value)
+
+    def test_engine_rejects_non_vertices(self, h1):
+        engine = GadgetEngine(build_supermodular_gadget(h1, EdgeVector.ones(3), [Fraction(1)] * 4))
+        for v in (-1, h1.n, h1.n + 3):
+            with pytest.raises(ValueError):
+                engine.force(v)
+            with pytest.raises(ValueError):
+                engine.set_charge(v, Fraction(1))
 
     def test_edge_subset_restriction(self, h1):
         charges = [Fraction(1)] * 4
@@ -134,10 +152,79 @@ class TestSupermodularGadget:
         assert cut.capacity == best + x[0]
 
 
+@st.composite
+def charged_instances(draw):
+    """A hypergraph with n <= 6, nonnegative rational weights and signed rational charges."""
+    n = draw(st.integers(1, 6))
+    edges = draw(st.lists(
+        st.lists(st.integers(0, n - 1), min_size=1, max_size=n, unique=True), max_size=8))
+    rational = st.builds(Fraction, st.integers(-4, 4), st.integers(1, 3))
+    x = draw(st.lists(rational.map(abs), min_size=len(edges), max_size=len(edges)))
+    charges = draw(st.lists(rational, min_size=n, max_size=n))
+    return Hypergraph(n, edges), EdgeVector.of(x), charges
+
+
+class TestSupermodularGadgetAgainstBrute:
+    @settings(max_examples=100, deadline=None)
+    @given(charged_instances())
+    def test_unforced_cut_is_brute_minimum(self, inst):
+        h, x, charges = inst
+        g = build_supermodular_gadget(h, x, charges)
+        info = interpret_gadget_cut(g, min_st_cut(g.network))
+
+        def score(w):
+            return sum((charges[v] for v in w), Fraction(0)) - x.sum_over(h.induced_edges(None, w))
+
+        best = min(score(w) for w in vertex_subsets(h.n))
+        assert info.value == score(info.witness) == best
+        assert g.offset == x.total() - sum(min(c, Fraction(0)) for c in charges)
+
+    @settings(max_examples=100, deadline=None)
+    @given(charged_instances())
+    def test_forced_sweep_matches_single_forced_builds(self, inst):
+        h, x, charges = inst
+        swept = list(forced_sweep(build_supermodular_gadget(h, x, charges)))
+        assert len(swept) == h.n
+        for v, info in enumerate(swept):
+            fresh = build_supermodular_gadget(h, x, charges, forced=v)
+            cut = min_st_cut(fresh.network)
+            ref = interpret_gadget_cut(fresh, cut)
+            assert (info.witness, info.edges_inside, info.value) \
+                == (ref.witness, ref.edges_inside, ref.value)
+            assert cut.capacity == ref.value + fresh.offset
+
+
+    @settings(max_examples=100, deadline=None)
+    @given(charged_instances(), st.lists(st.tuples(
+        st.integers(0, 5), st.none() | st.builds(Fraction, st.integers(-4, 4), st.integers(1, 3))),
+        max_size=6))
+    def test_engine_revisions_match_fresh_builds(self, inst, revisions):
+        # each step forces a vertex or recharges one; the warm engine must
+        # report what a fresh build with the current charges reports
+        h, x, charges = inst
+        engine = GadgetEngine(build_supermodular_gadget(h, x, charges))
+        charges, forced = list(charges), None
+        for v, charge in revisions:
+            v %= h.n
+            if charge is None:
+                engine.force(v)
+                forced = v
+            else:
+                engine.set_charge(v, charge)
+                charges[v] = charge
+            fresh = build_supermodular_gadget(h, x, charges, forced=forced)
+            ref = interpret_gadget_cut(fresh, min_st_cut(fresh.network))
+            cut, value = engine.solve()
+            witness = frozenset(v for v, node in fresh.vertex_nodes.items()
+                                if node not in cut.source_side)
+            assert (witness, value) == (ref.witness, ref.value)
+            assert engine.offset == fresh.offset
+
+
 class TestArboricityGadget:
     def test_capacity_identity(self, k3):
         density = Fraction(3, 2)
-        g = build_arboricity_gadget(k3, density)
+        g = density_gadget(k3, density)
         cut = min_st_cut(g.network)
         best = min(
             density * len(w) - len(k3.induced_edges(None, w))
@@ -148,7 +235,7 @@ class TestArboricityGadget:
     def test_forced_variant(self, k4):
         density = Fraction(4, 3)
         for forced in range(4):
-            g = build_arboricity_gadget(k4, density, forced=forced)
+            g = density_gadget(k4, density, forced=forced)
             cut = min_st_cut(g.network)
             best = min(
                 density * len(w) - len(k4.induced_edges(None, w))
@@ -157,11 +244,6 @@ class TestArboricityGadget:
             assert cut.capacity == best + k4.m
             interp = interpret_gadget_cut(g, cut)
             assert forced in interp.witness
-
-    def test_rejects_loops(self):
-        h = Hypergraph(2, [[0], [0, 1]])
-        with pytest.raises(LoopPresentError):
-            build_arboricity_gadget(h, Fraction(1))
 
 
 class TestIndependenceGadget:

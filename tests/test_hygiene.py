@@ -1,0 +1,50 @@
+"""Static checks on the package source, with the stdlib `ast` module only."""
+
+import ast
+from pathlib import Path
+
+import hypermat
+
+PACKAGE = Path(hypermat.__file__).resolve().parent
+
+
+def _imported_names(tree):
+    """Names bound by the module's imports, except `from __future__` ones."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                yield alias.asname or alias.name.split(".")[0]
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            for alias in node.names:
+                yield alias.asname or alias.name
+
+
+def _used_names(tree):
+    """Names read anywhere in the module, string annotations included."""
+    used = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            used.add(node.id)
+        for ann in (getattr(node, "annotation", None), getattr(node, "returns", None)):
+            if isinstance(ann, ast.Constant) and isinstance(ann.value, str):
+                used |= {n.id for n in ast.walk(ast.parse(ann.value, mode="eval"))
+                         if isinstance(n, ast.Name)}
+    return used
+
+
+def test_no_unused_imports():
+    exported = set(hypermat.__all__)
+    unused = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        used = _used_names(tree)
+        if path.name == "__init__.py":
+            used |= exported
+        unused += [f"{path.name}: {name}" for name in _imported_names(tree) if name not in used]
+    assert unused == []
+
+
+def test_every_export_resolves():
+    missing = [name for name in hypermat.__all__ if not hasattr(hypermat, name)]
+    assert missing == []
+    assert len(set(hypermat.__all__)) == len(hypermat.__all__)
