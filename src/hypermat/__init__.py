@@ -32,9 +32,7 @@ from .mincut import (
 )
 from .gadgets import (
     GadgetCutInterpretation,
-    GadgetEngine,
     GadgetGraph,
-    IndependenceGadget,
     build_independence_gadget,
     build_supermodular_gadget,
     forced_sweep,
@@ -80,7 +78,6 @@ __all__ = [
     "EdgeVector",
     "FlowNetwork",
     "GadgetCutInterpretation",
-    "GadgetEngine",
     "GadgetGraph",
     "GreedyState",
     "Hyperedge",
@@ -88,7 +85,6 @@ __all__ = [
     "HypergraphFormatError",
     "INF",
     "InPolytope",
-    "IndependenceGadget",
     "LoopPresentError",
     "MergeDescriptor",
     "NoFiniteCutError",

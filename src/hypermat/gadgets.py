@@ -12,9 +12,10 @@ arcs, and both split nodes can escape to the sink for the same half
 weight.  A finite cut then encodes a vertex set W (the sink-side
 vertices): each edge either lies entirely inside W (both split nodes
 sink-side, contributing nothing), or pays its full weight to the cut.
-Per-vertex source and sink arcs carry the charges.  `GadgetEngine`
-re-solves one such gadget after moving the forced vertex or changing a
-charge.
+Per-vertex source and sink arcs carry the charges.
+`build_arboricity_gadget` is the same builder at arboricity's charges and
+weights.  `GadgetEngine` re-solves one such gadget after moving the
+forced vertex or changing a charge.
 
 The independence gadget is a network of its own: unit arcs meter how
 many distinct vertices a sub-family of edges can be charged to.
@@ -82,6 +83,11 @@ class GadgetCutInterpretation:
     value: Fraction
 
 
+def _sink_cap(c: Fraction) -> Fraction:
+    """Capacity of an unforced vertex's sink arc under charge c."""
+    return -c if c < 0 else _ZERO
+
+
 def build_supermodular_gadget(h: Hypergraph, x: EdgeVector, charges: Sequence[Fraction],
                               forced: int | None = None,
                               edge_ids: Iterable[int] | None = None) -> GadgetGraph:
@@ -96,6 +102,25 @@ def build_supermodular_gadget(h: Hypergraph, x: EdgeVector, charges: Sequence[Fr
     selected edges follow.  Every minimum cut has capacity min over W
     of charge(W) - x(E[W]), plus the gadget's offset.
     """
+    return _supermodular_gadget(h, x, charges, forced, edge_ids)
+
+
+def build_arboricity_gadget(h: Hypergraph, density: Fraction,
+                            forced: int | None = None) -> GadgetGraph:
+    """The supermodular gadget of arboricity's Newton round.
+
+    Charge `density` per vertex and unit weight on every edge, so the
+    cut minimizes density * |W| - |E[W]|.  It is a public function of
+    its own so that a trace of the layer boundaries counts arboricity's
+    builds, and among them its forced ones, apart from the others.
+    """
+    return _supermodular_gadget(h, EdgeVector.ones(h.m), [density] * h.n, forced, None)
+
+
+def _supermodular_gadget(h: Hypergraph, x: EdgeVector, charges: Sequence[Fraction],
+                         forced: int | None, edge_ids: Iterable[int] | None) -> GadgetGraph:
+    # the body of both public builders: neither calls the other, so a
+    # trace of the layer boundaries counts each build once
     x.require_length(h.m, "weights")
     if forced is not None and not 0 <= forced < h.n:
         raise ValueError("forced vertex out of range")
@@ -108,7 +133,8 @@ def build_supermodular_gadget(h: Hypergraph, x: EdgeVector, charges: Sequence[Fr
             raise ValueError(f"negative weight at edge {e}")
     edges = tuple([h.edges[e] for e in ids])
     arcs: list[tuple[int, int, Cap]] = [(0, 2 + v, c if c > 0 else _ZERO) for v, c in enumerate(ch)]
-    arcs += [(2 + v, 1, INF if v == forced else -c if c < 0 else _ZERO) for v, c in enumerate(ch)]
+    for v, c in enumerate(ch):
+        arcs.append((2 + v, 1, INF if v == forced else _sink_cap(c)))
     split: dict[int, tuple[int, int]] = {}
     nxt = 2 + h.n
     for e in edges:
@@ -122,11 +148,11 @@ def build_supermodular_gadget(h: Hypergraph, x: EdgeVector, charges: Sequence[Fr
             arcs.append((exit_, 2 + u, INF))
         arcs.append((entry, 1, half))
         arcs.append((exit_, 1, half))
+    offset = x.sum_over(ids) - sum([c for c in ch if c < 0], _ZERO)
     return GadgetGraph(
         network=FlowNetwork(nxt, tuple(arcs), 0, 1),
         vertex_nodes={v: 2 + v for v in range(h.n)}, split_nodes=split, edges=edges,
-        x=x, charges=tuple(ch), offset=x.sum_over(ids) - sum([c for c in ch if c < 0], _ZERO),
-        forced=forced,
+        x=x, charges=tuple(ch), offset=offset, forced=forced,
     )
 
 
@@ -205,6 +231,11 @@ class GadgetEngine:
     a vertex's two terminal arcs and the offset, and solve() returns the
     cut with its value, the capacity less the offset, which is
     charge(W) - x(E[W]) at the cut's witness W.
+
+    The engine keeps its own charges, forced vertex and offset.  Those
+    of the gadget it was made from describe the network as built and
+    are stale once set_charge() has run, so interpret_gadget_cut() on
+    that gadget does not hold for a cut solved after a charge revision.
     """
 
     def __init__(self, g: GadgetGraph) -> None:
@@ -221,8 +252,7 @@ class GadgetEngine:
         if v == old:
             return
         if old is not None:
-            c = self.charges[old]
-            self._engine.set_capacity(n + old, -c if c < 0 else _ZERO)
+            self._engine.set_capacity(n + old, _sink_cap(self.charges[old]))
         self._engine.set_capacity(n + v, INF)
         self.forced = v
 
@@ -238,7 +268,7 @@ class GadgetEngine:
         self.charges[v] = charge
         self._engine.set_capacity(v, charge if charge > 0 else _ZERO)
         if v != self.forced:
-            self._engine.set_capacity(len(self.charges) + v, -charge if charge < 0 else _ZERO)
+            self._engine.set_capacity(len(self.charges) + v, _sink_cap(charge))
 
     def solve(self) -> tuple[CutResult, Fraction]:
         cut = self._engine.solve()

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .core import EdgeVector, Hypergraph, LoopPresentError, Partition
-from .gadgets import build_supermodular_gadget, forced_sweep, interpret_gadget_cut
+from .gadgets import build_arboricity_gadget, forced_sweep, interpret_gadget_cut
 from .mincut import min_st_cut
 from .partition_oracle import min_partition
 
@@ -114,14 +114,11 @@ def arboricity(h: Hypergraph) -> ArboricityResult:
         raise ValueError("arboricity needs at least two vertices")
     witness = frozenset(range(h.n))
     density = Fraction(h.m, h.n - 1)
-    ones = EdgeVector.ones(h.m)
     iterations = 0
     while True:
         iterations += 1
         assert iterations <= h.n, "Newton iteration exceeded |V| rounds"
-        # charge `density` per vertex and unit edge weights: the cut
-        # minimizes density * |W| - |E[W]| over every W
-        g = build_supermodular_gadget(h, ones, [density] * h.n)
+        g = build_arboricity_gadget(h, density)
         info = interpret_gadget_cut(g, min_st_cut(g.network))
         cand = info.witness
         if cand:
@@ -132,7 +129,7 @@ def arboricity(h: Hypergraph) -> ArboricityResult:
             # every nonempty W scores positive; sweep to find the exact
             # minimum over nonempty sets
             best: tuple[Fraction, frozenset[int]] | None = None
-            g = build_supermodular_gadget(h, ones, [density] * h.n, forced=0)
+            g = build_arboricity_gadget(h, density, forced=0)
             for info in forced_sweep(g):
                 if best is None or info.value < best[0]:
                     best = (info.value, info.witness)

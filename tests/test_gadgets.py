@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 from hypermat import (
     INF,
     EdgeVector,
-    GadgetEngine,
     Hypergraph,
     build_independence_gadget,
     build_supermodular_gadget,
@@ -17,6 +16,7 @@ from hypermat import (
     interpret_independence_cut,
     min_st_cut,
 )
+from hypermat.gadgets import GadgetEngine, build_arboricity_gadget
 
 
 def vertex_subsets(n, forced=None):
@@ -30,11 +30,6 @@ def vertex_subsets(n, forced=None):
 def polytope_gadget(h, x, forced):
     # charge 1 per vertex: the cut minimizes |W| - x(E[W]) over W holding `forced`
     return build_supermodular_gadget(h, x, [Fraction(1)] * h.n, forced=forced)
-
-
-def density_gadget(h, density, forced=None):
-    # charge `density` per vertex and unit weights: density * |W| - |E[W]|
-    return build_supermodular_gadget(h, EdgeVector.ones(h.m), [density] * h.n, forced=forced)
 
 
 class TestPolytopeGadget:
@@ -224,7 +219,7 @@ class TestSupermodularGadgetAgainstBrute:
 class TestArboricityGadget:
     def test_capacity_identity(self, k3):
         density = Fraction(3, 2)
-        g = density_gadget(k3, density)
+        g = build_arboricity_gadget(k3, density)
         cut = min_st_cut(g.network)
         best = min(
             density * len(w) - len(k3.induced_edges(None, w))
@@ -235,7 +230,7 @@ class TestArboricityGadget:
     def test_forced_variant(self, k4):
         density = Fraction(4, 3)
         for forced in range(4):
-            g = density_gadget(k4, density, forced=forced)
+            g = build_arboricity_gadget(k4, density, forced=forced)
             cut = min_st_cut(g.network)
             best = min(
                 density * len(w) - len(k4.induced_edges(None, w))
@@ -244,6 +239,14 @@ class TestArboricityGadget:
             assert cut.capacity == best + k4.m
             interp = interpret_gadget_cut(g, cut)
             assert forced in interp.witness
+
+    @pytest.mark.parametrize("forced", [None, 0, 3])
+    def test_is_the_supermodular_gadget_at_density_charges(self, k4, forced):
+        # charge `density` per vertex and unit weights: density * |W| - |E[W]|
+        density = Fraction(4, 3)
+        g = build_arboricity_gadget(k4, density, forced=forced)
+        assert g == build_supermodular_gadget(k4, EdgeVector.ones(k4.m), [density] * k4.n,
+                                              forced=forced)
 
 
 class TestIndependenceGadget:
