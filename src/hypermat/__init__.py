@@ -28,7 +28,6 @@ from .mincut import (
     FlowNetwork,
     NoFiniteCutError,
     min_st_cut,
-    min_st_cut_sequence,
 )
 from .gadgets import (
     GadgetCutInterpretation,
@@ -40,7 +39,6 @@ from .gadgets import (
     interpret_independence_cut,
 )
 from .partition_oracle import (
-    GreedyState,
     PartitionOracleResult,
     cover_demand,
     min_partition,
@@ -79,7 +77,6 @@ __all__ = [
     "FlowNetwork",
     "GadgetCutInterpretation",
     "GadgetGraph",
-    "GreedyState",
     "Hyperedge",
     "Hypergraph",
     "HypergraphFormatError",
@@ -110,7 +107,6 @@ __all__ = [
     "max_weight_hyperforest",
     "min_partition",
     "min_st_cut",
-    "min_st_cut_sequence",
     "parse_hypergraph",
     "rank",
     "reinforce",

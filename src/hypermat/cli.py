@@ -6,7 +6,8 @@ parse_hypergraph; rational output is rendered as "p/q" strings (plain
 integers when the denominator is 1).
 
 Exit codes: 0 success, 1 usage or input errors, 2 infeasible
-reinforcement, 3 oracle mismatch under --oracle or oracle-check.
+reinforcement, 3 oracle mismatch under --oracle or oracle-check.  A
+mismatch wins: an infeasible reinforce run whose oracle disagrees exits 3.
 """
 
 from __future__ import annotations
@@ -14,7 +15,9 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from typing import Callable, Sequence
+from dataclasses import dataclass
+from fractions import Fraction
+from typing import Any, Callable, Sequence
 
 from . import brute
 from .core import (
@@ -29,13 +32,15 @@ from .core import (
 from .matroid import (
     BoundViolation,
     InPolytope,
+    RankResult,
+    SeparationOutcome,
     is_independent,
     max_weight_hyperforest,
     rank,
     separate_polytope,
 )
-from .packing import arboricity, strength
-from .reinforcement import reinforce
+from .packing import ArboricityResult, StrengthResult, arboricity, strength
+from .reinforcement import ReinforcementResult, reinforce
 
 
 class _UsageError(Exception):
@@ -81,77 +86,34 @@ def _need_columns(columns: list[EdgeVector], count: int, what: str) -> list[Edge
     return columns[:count]
 
 
-def _emit(args: argparse.Namespace, payload: dict, human: str) -> None:
-    if args.json:
-        print(json.dumps(payload, indent=2))
-    else:
-        print(human)
-
-
-def _oracle_guard(fn: Callable[[], bool]) -> str:
-    """Run an oracle comparison; size guards and unsupported data skip it."""
-    try:
-        return "match" if fn() else "MISMATCH"
-    except (ValueError, LoopPresentError) as exc:
-        return f"skipped ({exc})"
-
-
-def _cmd_rank(args: argparse.Namespace) -> int:
-    h, _ = _load(args.file)
-    ids = _parse_set(args.set, h.m) if args.set is not None else None
-    res = rank(h, ids)
+def _render_rank(res: RankResult, operands: tuple) -> tuple[dict, str, int]:
+    h, ids = operands
     payload = {
         "rank": res.rank,
         "witness_partition": _blocks(res.witness_partition),
         "edge_set": ids if ids is not None else list(range(h.m)),
     }
-    _emit(args, payload, f"rank {res.rank}\nwitness {_blocks_text(res.witness_partition)}")
-    if args.oracle:
-        note = _oracle_guard(lambda: brute.brute_rank(h, ids) == res.rank)
-        print(f"oracle rank: {note}", file=sys.stderr)
-        if note == "MISMATCH":
-            return 3
-    return 0
+    return payload, f"rank {res.rank}\nwitness {_blocks_text(res.witness_partition)}", 0
 
 
-def _cmd_independent(args: argparse.Namespace) -> int:
-    h, _ = _load(args.file)
-    ids = _parse_set(args.set, h.m) if args.set is not None else None
-    ok = is_independent(h, ids)
+def _render_independent(ok: bool, operands: tuple) -> tuple[dict, str, int]:
+    h, ids = operands
     size = len(ids) if ids is not None else h.m
-    payload = {"independent": ok, "size": size}
-    _emit(args, payload, "independent" if ok else "dependent")
-    if args.oracle:
-        note = _oracle_guard(lambda: brute.brute_hyperforest(h, ids) == ok)
-        print(f"oracle independent: {note}", file=sys.stderr)
-        if note == "MISMATCH":
-            return 3
-    return 0
+    return {"independent": ok, "size": size}, "independent" if ok else "dependent", 0
 
 
-def _cmd_maxforest(args: argparse.Namespace) -> int:
-    h, columns = _load(args.file)
-    (w,) = _need_columns(columns, 1, "maxforest")
-    chosen, weight = max_weight_hyperforest(h, w)
+def _render_maxforest(res: tuple[frozenset[int], Fraction],
+                      operands: tuple) -> tuple[dict, str, int]:
+    chosen, weight = res
     payload = {"edges": sorted(chosen), "weight": format_rational(weight)}
     human = f"weight {format_rational(weight)}\nedges {' '.join(str(e) for e in sorted(chosen))}"
-    _emit(args, payload, human)
-    if args.oracle:
-        note = _oracle_guard(lambda: brute.brute_max_weight_hyperforest(h, w) == weight)
-        print(f"oracle maxforest: {note}", file=sys.stderr)
-        if note == "MISMATCH":
-            return 3
-    return 0
+    return payload, human, 0
 
 
-def _cmd_separate(args: argparse.Namespace) -> int:
-    h, columns = _load(args.file)
-    (x,) = _need_columns(columns, 1, "separate")
-    outcome = separate_polytope(h, x)
+def _render_separate(outcome: SeparationOutcome, operands: tuple) -> tuple[dict, str, int]:
     if isinstance(outcome, InPolytope):
-        payload: dict = {"in_polytope": True}
-        human = "in polytope"
-    elif isinstance(outcome, BoundViolation):
+        return {"in_polytope": True}, "in polytope", 0
+    if isinstance(outcome, BoundViolation):
         if outcome.upper is None:
             ineq = f"x({outcome.edge}) >= 0"
         else:
@@ -161,31 +123,21 @@ def _cmd_separate(args: argparse.Namespace) -> int:
             "value": format_rational(outcome.value), "inequality": ineq,
         }}
         human = f"violated: {ineq} but x({outcome.edge}) = {format_rational(outcome.value)}"
-    else:
-        payload = {"in_polytope": False, "violation": {
-            "kind": "set",
-            "witness": sorted(outcome.witness),
-            "lhs": format_rational(outcome.lhs),
-            "rhs": outcome.rhs,
-            "edge_set": sorted(outcome.edge_set),
-            "partition": _blocks(outcome.partition),
-        }}
-        human = (f"violated: x(E[W]) = {format_rational(outcome.lhs)} > {outcome.rhs} = |W| - 1"
-                 f"\nW = {sorted(outcome.witness)}")
-    _emit(args, payload, human)
-    if args.oracle:
-        note = _oracle_guard(
-            lambda: brute.brute_separate(h, x) == isinstance(outcome, InPolytope))
-        print(f"oracle separate: {note}", file=sys.stderr)
-        if note == "MISMATCH":
-            return 3
-    return 0
+        return payload, human, 0
+    payload = {"in_polytope": False, "violation": {
+        "kind": "set",
+        "witness": sorted(outcome.witness),
+        "lhs": format_rational(outcome.lhs),
+        "rhs": outcome.rhs,
+        "edge_set": sorted(outcome.edge_set),
+        "partition": _blocks(outcome.partition),
+    }}
+    human = (f"violated: x(E[W]) = {format_rational(outcome.lhs)} > {outcome.rhs} = |W| - 1"
+             f"\nW = {sorted(outcome.witness)}")
+    return payload, human, 0
 
 
-def _cmd_strength(args: argparse.Namespace) -> int:
-    h, columns = _load(args.file)
-    c = columns[0] if columns else None
-    res = strength(h, c)
+def _render_strength(res: StrengthResult, operands: tuple) -> tuple[dict, str, int]:
     payload = {
         "strength": format_rational(res.sigma),
         "floor": res.integer_packing,
@@ -195,18 +147,10 @@ def _cmd_strength(args: argparse.Namespace) -> int:
     human = (f"strength {format_rational(res.sigma)} (floor {res.integer_packing})"
              f"\ncritical {_blocks_text(res.critical_partition)}"
              f"\niterations {res.iterations}")
-    _emit(args, payload, human)
-    if args.oracle:
-        note = _oracle_guard(lambda: brute.brute_strength(h, c)[0] == res.sigma)
-        print(f"oracle strength: {note}", file=sys.stderr)
-        if note == "MISMATCH":
-            return 3
-    return 0
+    return payload, human, 0
 
 
-def _cmd_arboricity(args: argparse.Namespace) -> int:
-    h, _ = _load(args.file)
-    res = arboricity(h)
+def _render_arboricity(res: ArboricityResult, operands: tuple) -> tuple[dict, str, int]:
     payload = {
         "arboricity": format_rational(res.rho),
         "k": res.k,
@@ -215,26 +159,14 @@ def _cmd_arboricity(args: argparse.Namespace) -> int:
     }
     human = (f"arboricity {format_rational(res.rho)} (k {res.k})"
              f"\nwitness {sorted(res.witness)}")
-    _emit(args, payload, human)
-    if args.oracle:
-        note = _oracle_guard(lambda: brute.brute_arboricity(h)[0] == res.rho)
-        print(f"oracle arboricity: {note}", file=sys.stderr)
-        if note == "MISMATCH":
-            return 3
-    return 0
+    return payload, human, 0
 
 
-def _cmd_reinforce(args: argparse.Namespace) -> int:
-    h, columns = _load(args.file)
-    d, u = _need_columns(columns, 2, "reinforce")
-    res = reinforce(h, args.k, d, u)
+def _render_reinforce(res: ReinforcementResult, operands: tuple) -> tuple[dict, str, int]:
     if res.status == "infeasible":
         payload = {"status": "infeasible",
                    "certificate": _blocks(res.dual.final_partition)}
-        human = ("infeasible"
-                 f"\ncertificate {_blocks_text(res.dual.final_partition)}")
-        _emit(args, payload, human)
-        return 2
+        return payload, f"infeasible\ncertificate {_blocks_text(res.dual.final_partition)}", 2
     assert res.x is not None and res.cost is not None
     payload = {
         "status": "optimal",
@@ -243,73 +175,126 @@ def _cmd_reinforce(args: argparse.Namespace) -> int:
     }
     human = (f"cost {format_rational(res.cost)}"
              f"\nx {' '.join(format_rational(v) for v in res.x)}")
-    _emit(args, payload, human)
+    return payload, human, 0
+
+
+def _edge_set(h: Hypergraph, columns: list[EdgeVector], args: argparse.Namespace) -> tuple:
+    text = getattr(args, "set", None)  # oracle-check has no --set
+    return h, _parse_set(text, h.m) if text is not None else None
+
+
+def _reinforce_operands(h: Hypergraph, columns: list[EdgeVector],
+                        args: argparse.Namespace) -> tuple:
+    if args.k is None:  # only oracle-check leaves -k out
+        raise _UsageError("reinforce needs -k")
+    return (h, args.k, *_need_columns(columns, 2, "reinforce"))
+
+
+@dataclass(frozen=True)
+class _Op:
+    """One subcommand: its operands, main routine, output and brute oracle.
+
+    `operands` reads the main routine's arguments, which the oracle takes
+    too, from the file and the flags, and raises _UsageError when they are
+    missing; oracle-check then leaves the operation out, as it does below
+    `min_n` vertices.  The oracle must equal `value` of the main result;
+    `show` renders both for oracle-check.
+    """
+
+    name: str
+    help: str
+    flags: tuple[tuple[str, dict], ...]
+    operands: Callable[[Hypergraph, list[EdgeVector], argparse.Namespace], tuple]
+    main: Callable[..., Any]
+    render: Callable[[Any, tuple], tuple[dict, str, int]]  # payload, human text, exit code
+    value: Callable[[Any], Any]
+    oracle: Callable[..., Any]
+    show: Callable[[Any], str] = str
+    min_n: int = 0
+
+
+_SET = ("--set", {"help": "comma-separated edge ids (default: all)"})
+
+# Each entry looks its routines up by name on every call, so tests can patch
+# `brute` and a tracer that rebinds this module's names sees the main calls.
+_OPS = {op.name: op for op in (
+    _Op("rank", "rank of an edge set", (_SET,), _edge_set, lambda *a: rank(*a), _render_rank,
+        value=lambda res: res.rank, oracle=lambda *a: brute.brute_rank(*a)),
+    _Op("independent", "hyperforest test", (_SET,), _edge_set,
+        lambda *a: is_independent(*a), _render_independent,
+        value=lambda ok: ok, oracle=lambda *a: brute.brute_hyperforest(*a)),
+    _Op("maxforest", "maximum-weight hyperforest (column: weights)", (),
+        lambda h, columns, args: (h, *_need_columns(columns, 1, "maxforest")),
+        lambda *a: max_weight_hyperforest(*a), _render_maxforest,
+        value=lambda res: res[1], oracle=lambda *a: brute.brute_max_weight_hyperforest(*a),
+        show=format_rational),
+    _Op("separate", "hyperforest polytope separation (column: point)", (),
+        lambda h, columns, args: (h, *_need_columns(columns, 1, "separate")),
+        lambda *a: separate_polytope(*a), _render_separate,
+        value=lambda outcome: isinstance(outcome, InPolytope),
+        oracle=lambda *a: brute.brute_separate(*a)),
+    _Op("strength", "packing value (optional column: capacities)", (),
+        lambda h, columns, args: (h, columns[0] if columns else None),
+        lambda *a: strength(*a), _render_strength,
+        value=lambda res: res.sigma, oracle=lambda *a: brute.brute_strength(*a)[0],
+        show=format_rational, min_n=2),
+    _Op("arboricity", "covering value", (), lambda h, columns, args: (h,),
+        lambda *a: arboricity(*a), _render_arboricity,
+        value=lambda res: res.rho, oracle=lambda *a: brute.brute_arboricity(*a)[0],
+        show=format_rational, min_n=2),
+    _Op("reinforce", "minimum-cost reinforcement (columns: costs, bounds)",
+        (("-k", {"type": int, "required": True, "help": "number of hypertrees to pack"}),),
+        _reinforce_operands, lambda *a: reinforce(*a), _render_reinforce,
+        value=lambda res: (res.status, res.cost),
+        oracle=lambda *a: brute.brute_reinforce(*a)[:2],
+        show=lambda v: v[0] if v[1] is None else format_rational(v[1])),
+)}
+
+# oracle-check runs, and prints, the operations in this order
+_CHECK_ORDER = ("rank", "independent", "strength", "arboricity", "maxforest", "separate",
+                "reinforce")
+
+
+def _check(op: _Op, operands: tuple, run: Callable[[], Any]) -> dict:
+    """Compare the main value with the oracle's; size guards and unsupported data skip it."""
+    try:
+        value = op.value(run())
+        expected = op.oracle(*operands)
+    except (ValueError, LoopPresentError) as exc:
+        return {"skipped": str(exc)}
+    return {"main": op.show(value), "oracle": op.show(expected), "match": value == expected}
+
+
+def _run(op: _Op, args: argparse.Namespace) -> int:
+    h, columns = _load(args.file)
+    operands = op.operands(h, columns, args)
+    result = op.main(*operands)
+    payload, human, code = op.render(result, operands)
+    print(json.dumps(payload, indent=2) if args.json else human)
     if args.oracle:
-        def check() -> bool:
-            status, cost, _ = brute.brute_reinforce(h, args.k, d, u)
-            return status == res.status and cost == res.cost
-        note = _oracle_guard(check)
-        print(f"oracle reinforce: {note}", file=sys.stderr)
+        check = _check(op, operands, lambda: result)
+        if "skipped" in check:
+            note = f"skipped ({check['skipped']})"
+        else:
+            note = "match" if check["match"] else "MISMATCH"
+        print(f"oracle {op.name}: {note}", file=sys.stderr)
         if note == "MISMATCH":
             return 3
-    return 0
+    return code
 
 
-def _cmd_oracle_check(args: argparse.Namespace) -> int:
+def _oracle_check(args: argparse.Namespace) -> int:
     h, columns = _load(args.file)
-    col0 = columns[0] if columns else None
     checks: list[dict] = []
-    failed = False
-
-    def record(op: str, run: Callable[[], tuple[str, str, bool]]) -> None:
-        nonlocal failed
+    for op in (_OPS[name] for name in _CHECK_ORDER):
+        if h.n < op.min_n:
+            continue
         try:
-            main_repr, oracle_repr, ok = run()
-            checks.append({"op": op, "main": main_repr, "oracle": oracle_repr,
-                           "match": ok})
-            if not ok:
-                failed = True
-        except (ValueError, LoopPresentError) as exc:
-            checks.append({"op": op, "skipped": str(exc)})
-
-    def compare(main_value: object, oracle_value: object) -> tuple[str, str, bool]:
-        return str(main_value), str(oracle_value), main_value == oracle_value
-
-    record("rank", lambda: compare(rank(h).rank, brute.brute_rank(h)))
-    record("independent", lambda: compare(is_independent(h), brute.brute_hyperforest(h)))
-    if h.n >= 2:
-        def strength_check() -> tuple[str, str, bool]:
-            s = strength(h, col0).sigma
-            b = brute.brute_strength(h, col0)[0]
-            return format_rational(s), format_rational(b), s == b
-        record("strength", strength_check)
-
-        def arboricity_check() -> tuple[str, str, bool]:
-            a = arboricity(h).rho
-            b = brute.brute_arboricity(h)[0]
-            return format_rational(a), format_rational(b), a == b
-        record("arboricity", arboricity_check)
-    if col0 is not None:
-        def forest_check() -> tuple[str, str, bool]:
-            w = max_weight_hyperforest(h, col0)[1]
-            b = brute.brute_max_weight_hyperforest(h, col0)
-            return format_rational(w), format_rational(b), w == b
-        record("maxforest", forest_check)
-
-        def separate_check() -> tuple[str, str, bool]:
-            inside = isinstance(separate_polytope(h, col0), InPolytope)
-            b = brute.brute_separate(h, col0)
-            return str(inside), str(b), inside == b
-        record("separate", separate_check)
-    if len(columns) >= 2 and args.k is not None:
-        def reinforce_check() -> tuple[str, str, bool]:
-            res = reinforce(h, args.k, columns[0], columns[1])
-            status, cost, _ = brute.brute_reinforce(h, args.k, columns[0], columns[1])
-            main_repr = res.status if res.cost is None else format_rational(res.cost)
-            oracle_repr = status if cost is None else format_rational(cost)
-            return main_repr, oracle_repr, (res.status, res.cost) == (status, cost)
-        record("reinforce", reinforce_check)
-
+            operands = op.operands(h, columns, args)
+        except _UsageError:
+            continue
+        checks.append({"op": op.name, **_check(op, operands, lambda: op.main(*operands))})
+    failed = any(c.get("match") is False for c in checks)
     if args.json:
         print(json.dumps({"checks": checks, "all_match": not failed}, indent=2))
     else:
@@ -326,49 +311,24 @@ def _build_parser() -> _Parser:
     parser = _Parser(prog="hypermat", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p: _Parser, oracle: bool = True) -> None:
+    def common(p: _Parser) -> None:
         p.add_argument("file", help="hypergraph file")
         p.add_argument("--json", action="store_true", help="machine-readable output")
-        if oracle:
-            p.add_argument("--oracle", action="store_true",
-                           help="cross-check against the brute-force oracle")
 
-    p = sub.add_parser("rank", help="rank of an edge set")
-    common(p)
-    p.add_argument("--set", help="comma-separated edge ids (default: all)")
-    p.set_defaults(fn=_cmd_rank)
-
-    p = sub.add_parser("independent", help="hyperforest test")
-    common(p)
-    p.add_argument("--set", help="comma-separated edge ids (default: all)")
-    p.set_defaults(fn=_cmd_independent)
-
-    p = sub.add_parser("maxforest", help="maximum-weight hyperforest (column: weights)")
-    common(p)
-    p.set_defaults(fn=_cmd_maxforest)
-
-    p = sub.add_parser("separate", help="hyperforest polytope separation (column: point)")
-    common(p)
-    p.set_defaults(fn=_cmd_separate)
-
-    p = sub.add_parser("strength", help="packing value (optional column: capacities)")
-    common(p)
-    p.set_defaults(fn=_cmd_strength)
-
-    p = sub.add_parser("arboricity", help="covering value")
-    common(p)
-    p.set_defaults(fn=_cmd_arboricity)
-
-    p = sub.add_parser("reinforce", help="minimum-cost reinforcement (columns: costs, bounds)")
-    common(p)
-    p.add_argument("-k", type=int, required=True, help="number of hypertrees to pack")
-    p.set_defaults(fn=_cmd_reinforce)
+    for op in _OPS.values():
+        p = sub.add_parser(op.name, help=op.help)
+        common(p)
+        p.add_argument("--oracle", action="store_true",
+                       help="cross-check against the brute-force oracle")
+        for flag, options in op.flags:
+            p.add_argument(flag, **options)
+        p.set_defaults(fn=lambda args, op=op: _run(op, args))
 
     p = sub.add_parser("oracle-check",
                        help="run every applicable operation against its oracle")
-    common(p, oracle=False)
+    common(p)
     p.add_argument("-k", type=int, default=None, help="tree count for the reinforce check")
-    p.set_defaults(fn=_cmd_oracle_check)
+    p.set_defaults(fn=_oracle_check)
     return parser
 
 
@@ -377,10 +337,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     try:
         args = parser.parse_args(argv)
         return args.fn(args)
-    except _UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except (HypergraphFormatError, LoopPresentError, ValueError) as exc:
+    except (_UsageError, HypergraphFormatError, LoopPresentError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

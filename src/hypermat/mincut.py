@@ -25,11 +25,10 @@ Callers rely on that for deterministic tie-breaking.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Union
+from typing import Union
 
 from .core import as_fraction
 
@@ -127,10 +126,8 @@ class CutResult:
 class NoFiniteCutError(RuntimeError):
     """Every s-t cut crosses an arc of infinite capacity."""
 
-    def __init__(self, message: str = "every s-t cut crosses an infinite arc",
-                 index: int | None = None) -> None:
+    def __init__(self, message: str = "every s-t cut crosses an infinite arc") -> None:
         super().__init__(message)
-        self.index = index
 
 
 class CutEngine:
@@ -356,29 +353,3 @@ def min_st_cut(network: FlowNetwork) -> CutResult:
     source from the sink.
     """
     return CutEngine(network).solve()
-
-
-def min_st_cut_sequence(
-    network: FlowNetwork,
-    updates: Iterable[Iterable[tuple[int, object]]],
-) -> list[CutResult | NoFiniteCutError]:
-    """Solve the template network, then re-solve after each revision batch.
-
-    Each update is a batch of (arc_index, new_capacity) revisions; the
-    revisions are cumulative, and every revised arc must be incident to
-    the source or the sink.  The result list holds one entry for the
-    template followed by one per batch; a network state admitting no
-    finite cut contributes the NoFiniteCutError (tagged with its element
-    index) in place of a CutResult rather than aborting the sequence.
-    """
-    engine = CutEngine(network)
-    results: list[CutResult | NoFiniteCutError] = []
-    for index, batch in enumerate(itertools.chain([()], updates)):
-        for arc, cap in batch:
-            engine.set_capacity(arc, cap)
-        try:
-            results.append(engine.solve())
-        except NoFiniteCutError as exc:
-            exc.index = index
-            results.append(exc)
-    return results

@@ -31,18 +31,6 @@ from .core import EdgeVector, Hypergraph, Partition, as_fraction
 from .gadgets import GadgetEngine, build_supermodular_gadget
 
 
-@dataclass
-class GreedyState:
-    """Greedy bookkeeping, exposed for inspection and tests."""
-
-    potentials: list[Fraction]
-    family: list[frozenset[int]]
-    root: int
-    threshold: Fraction
-    last_slack: Fraction | None
-    steps: int
-
-
 @dataclass(frozen=True)
 class PartitionOracleResult:
     """Outcome of the partition minimization.
@@ -73,8 +61,7 @@ def cover_demand(subset: Iterable[int], h: Hypergraph, weights: EdgeVector,
 
 
 def min_partition(h: Hypergraph, weights: EdgeVector, threshold: Fraction,
-                  edge_ids: Iterable[int] | None = None,
-                  state_out: list[GreedyState] | None = None) -> PartitionOracleResult:
+                  edge_ids: Iterable[int] | None = None) -> PartitionOracleResult:
     """Minimize weights(crossing P) - threshold * (|P| - 1) over partitions P.
 
     Restricting edge_ids scopes both the crossing sum and the demands to
@@ -105,10 +92,7 @@ def min_partition(h: Hypergraph, weights: EdgeVector, threshold: Fraction,
 
     covered = bytearray(n)
     family: list[frozenset[int]] = []
-    state = GreedyState(potentials=potentials, family=family, root=root,
-                        threshold=threshold, last_slack=None, steps=0)
-    if state_out is not None:
-        state_out.append(state)
+    steps = 0
 
     def demand(sub: frozenset[int]) -> Fraction:
         return cover_demand(sub, h, weights, threshold, root, ids)
@@ -116,8 +100,8 @@ def min_partition(h: Hypergraph, weights: EdgeVector, threshold: Fraction,
     for pivot in range(n):
         if covered[pivot]:
             continue
-        state.steps += 1
-        assert state.steps <= n, "greedy exceeded |V| steps"
+        steps += 1
+        assert steps <= n, "greedy exceeded |V| steps"
         engine.force(pivot)
         cut, value = engine.solve()
         side = cut.source_side
@@ -128,7 +112,6 @@ def min_partition(h: Hypergraph, weights: EdgeVector, threshold: Fraction,
         slack = value - threshold
         assert pivot in tight
         assert slack >= 0, "cover became infeasible"
-        state.last_slack = slack
         potentials[pivot] -= slack
         engine.set_charge(pivot, potentials[pivot] + (threshold if pivot == root else Fraction(0)))
         assert sum((potentials[v] for v in tight), Fraction(0)) == demand(tight), \

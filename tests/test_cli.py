@@ -159,6 +159,16 @@ class TestReinforceCommand:
         assert data["status"] == "infeasible"
         assert data["certificate"] == [[0], [1], [2]]
 
+    def test_oracle_checks_infeasible(self, write, capsys):
+        assert main(["reinforce", write(H0_TIGHT), "-k", "1", "--oracle"]) == 2
+        assert "oracle reinforce: match" in capsys.readouterr().err
+
+    def test_oracle_mismatch_beats_infeasible(self, write, capsys, monkeypatch):
+        monkeypatch.setattr("hypermat.brute.brute_reinforce",
+                            lambda h, k, d, u: ("optimal", Fraction(0), (0, 0)))
+        assert main(["reinforce", write(H0_TIGHT), "-k", "1", "--oracle"]) == 3
+        assert "oracle reinforce: MISMATCH" in capsys.readouterr().err
+
     def test_k_required(self, write, capsys):
         assert main(["reinforce", write(H0)]) == 1
         assert "-k" in capsys.readouterr().err
@@ -209,10 +219,82 @@ class TestOracleCheck:
         assert code == 0 and data["all_match"] is True
         assert calls == {"brute_rank": 1, "brute_hyperforest": 1}
 
+    def test_main_routines_looked_up_per_call(self, write, capsys, monkeypatch):
+        # benchmark tracing rebinds the module's names; the CLI must call through them
+        import hypermat.cli as cli
+
+        names = ("rank", "is_independent", "strength", "arboricity",
+                 "max_weight_hyperforest", "separate_polytope", "reinforce")
+        calls = []
+        for name in names:
+            def counted(*args, _name=name, _fn=getattr(cli, name)):
+                calls.append(_name)
+                return _fn(*args)
+            monkeypatch.setattr(cli, name, counted)
+        assert main(["oracle-check", write(H0), "-k", "1"]) == 0
+        assert main(["strength", write(H0)]) == 0
+        assert calls == [*names, "strength"]
+
     def test_human_lines(self, write, capsys):
         assert main(["oracle-check", write(K3)]) == 0
         out = capsys.readouterr().out
         assert "rank: main=2 oracle=2 ok" in out
+
+
+ORACLE_CHECK_H0 = """\
+rank: main=2 oracle=2 ok
+independent: main=True oracle=True ok
+strength: main=3/2 oracle=3/2 ok
+arboricity: main=1 oracle=1 ok
+maxforest: main=3 oracle=3 ok
+separate: main=False oracle=False ok
+reinforce: main=2 oracle=2 ok
+"""
+
+
+def _check_json(op, main_value, oracle_value, match):
+    return (f'    {{\n      "op": "{op}",\n      "main": "{main_value}",\n'
+            f'      "oracle": "{oracle_value}",\n      "match": {match}\n    }}')
+
+
+ORACLE_CHECK_H0_JSON = ('{\n  "checks": [\n' + ",\n".join([
+    _check_json("rank", 2, 2, "true"),
+    _check_json("independent", True, True, "true"),
+    _check_json("strength", "3/2", "3/2", "true"),
+    _check_json("arboricity", 1, 1, "true"),
+    _check_json("maxforest", 3, 3, "true"),
+    _check_json("separate", False, False, "true"),
+    _check_json("reinforce", 2, 2, "true"),
+]) + '\n  ],\n  "all_match": true\n}\n')
+
+
+class TestFullStdout:
+    """The complete stdout and exit code, so a reordered line or key shows."""
+
+    @pytest.mark.parametrize("text, argv, code, expected", [
+        (H0, ["rank"], 0, "rank 2\nwitness {0,1,2}\n"),
+        (H0, ["rank", "--set", "0"], 0, "rank 1\nwitness {0} {1} {2}\n"),
+        (K3, ["independent"], 0, "dependent\n"),
+        (H0, ["independent"], 0, "independent\n"),
+        (K3_COLS, ["maxforest"], 0, "weight 5\nedges 1 2\n"),
+        (K3_POINT, ["separate"], 0,
+         "violated: x(E[W]) = 3 > 2 = |W| - 1\nW = [0, 1, 2]\n"),
+        ("3 3\n0 1 | 2/3\n1 2 | 2/3\n0 2 | 2/3\n", ["separate"], 0, "in polytope\n"),
+        ("3 3\n0 1 | 3/2\n1 2 | 0\n0 2 | 0\n", ["separate"], 0,
+         "violated: x(0) <= 1 but x(0) = 3/2\n"),
+        (K3, ["strength"], 0, "strength 3/2 (floor 1)\ncritical {0} {1} {2}\niterations 1\n"),
+        (K3, ["arboricity"], 0, "arboricity 3/2 (k 2)\nwitness [0, 1, 2]\n"),
+        (H0, ["reinforce", "-k", "1"], 0, "cost 2\nx 2 0\n"),
+        (H0_TIGHT, ["reinforce", "-k", "1"], 2, "infeasible\ncertificate {0} {1} {2}\n"),
+        (H0, ["oracle-check", "-k", "1"], 0, ORACLE_CHECK_H0),
+        (LOOPY, ["oracle-check"], 0,
+         "rank: main=1 oracle=1 ok\nindependent: main=False oracle=False ok\n"
+         "strength: main=1 oracle=1 ok\narboricity: skipped (edge 0 is a singleton)\n"),
+        (H0, ["oracle-check", "-k", "1", "--json"], 0, ORACLE_CHECK_H0_JSON),
+    ])
+    def test_stdout(self, write, capsys, text, argv, code, expected):
+        assert main([argv[0], write(text), *argv[1:]]) == code
+        assert capsys.readouterr().out == expected
 
 
 class TestErrors:

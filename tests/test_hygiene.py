@@ -1,9 +1,12 @@
-"""Static checks on the package source, with the stdlib `ast` module only."""
+"""Static checks on the package source and the README, with the standard library only."""
 
+import argparse
 import ast
+import re
 from pathlib import Path
 
 import hypermat
+from hypermat.cli import _build_parser
 
 PACKAGE = Path(hypermat.__file__).resolve().parent
 
@@ -48,3 +51,12 @@ def test_every_export_resolves():
     missing = [name for name in hypermat.__all__ if not hasattr(hypermat, name)]
     assert missing == []
     assert len(set(hypermat.__all__)) == len(hypermat.__all__)
+
+
+def test_readme_lists_every_subcommand():
+    readme = (PACKAGE.parents[1] / "README.md").read_text(encoding="utf-8")
+    table = readme.split("### Subcommands", 1)[1].split("\n\n", 2)[1]
+    documented = re.findall(r"^\| `([\w-]+)`", table, flags=re.MULTILINE)
+    (subparsers,) = [a for a in _build_parser()._actions
+                     if isinstance(a, argparse._SubParsersAction)]
+    assert documented == list(subparsers.choices)

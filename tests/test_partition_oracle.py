@@ -11,7 +11,6 @@ from hypermat import (
     min_partition,
 )
 from hypermat.brute import brute_min_partition
-from hypermat.partition_oracle import GreedyState
 
 from helpers import random_hypergraph, random_weights
 
@@ -82,15 +81,6 @@ class TestMinPartition:
         w = EdgeVector.of([1, -5, 1])
         res = min_partition(h1, w, Fraction(1), edge_ids=[0, 2])
         assert res.value == brute_min_partition(h1, w, Fraction(1), [0, 2])[0]
-
-    def test_state_out(self, h0):
-        sink: list[GreedyState] = []
-        res = min_partition(h0, EdgeVector.of([1, "1/2"]), Fraction(1), state_out=sink)
-        assert len(sink) == 1
-        state = sink[0]
-        assert state.steps <= h0.n
-        assert len(state.potentials) == h0.n
-        assert res.value == Fraction(-1, 2)
 
     def test_returned_partition_attains_value(self, k3, k4, h1):
         for h in (k3, k4, h1):
