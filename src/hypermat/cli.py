@@ -13,6 +13,7 @@ mismatch wins: an infeasible reinforce run whose oracle disagrees exits 3.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from dataclasses import dataclass
@@ -307,7 +308,9 @@ def _oracle_check(args: argparse.Namespace) -> int:
     return 3 if failed else 0
 
 
+@functools.cache
 def _build_parser() -> _Parser:
+    """The parser, built on the first call and reused for the process."""
     parser = _Parser(prog="hypermat", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -333,9 +336,8 @@ def _build_parser() -> _Parser:
 
 
 def main(argv: Sequence[str] | None = None) -> int:
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _build_parser().parse_args(argv)
         return args.fn(args)
     except (_UsageError, HypergraphFormatError, LoopPresentError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)

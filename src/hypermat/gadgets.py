@@ -1,9 +1,9 @@
 """Builders for the auxiliary cut networks behind every reduction.
 
-Polytope separation, the partition oracle (and through it rank,
-strength and reinforcement) and arboricity all minimize one set
-function by min cut: charge(W) - x(E[W]) over vertex sets W, or over
-those holding a forced vertex (the gadget of Padberg and Wolsey's
+Polytope separation, the partition oracle (and through it rank and
+strength), each round of reinforcement and arboricity all minimize one
+set function by min cut: charge(W) - x(E[W]) over vertex sets W, or
+over those holding a forced vertex (the gadget of Padberg and Wolsey's
 "Trees and cuts", which Cunningham reuses for reinforcement).  Its one
 builder splits each selected hyperedge e into an entry node and an exit
 node joined by an arc carrying half the edge's weight; every vertex of

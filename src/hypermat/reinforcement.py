@@ -6,19 +6,24 @@ satisfies x(crossing P) >= k * (|P| - 1), at minimum total cost.  For a
 connected graph and k = 1 this is spanning-tree feasibility; general k
 asks for enough capacity to pack k hypertrees.
 
-The algorithm grows a set of "tight" edges.  Each round raises the dual
-variable of the current partition until some crossing non-tight edge's
-reduced cost hits zero, admits that edge, and re-solves the partition
-subproblem minimize bounds(crossing tight edges) - k * (|P| - 1).  If
-the new optimal partition merges blocks of the old one, the multiplicity
-of the just-admitted edge is set by the merge's deficit (and the merged
-blocks fuse); otherwise the edge enters at its bound.  The subproblem
-minimum reaching zero certifies primal feasibility; running out of
-crossing edges proves infeasibility with the current partition as the
-certificate.  Every dual update keeps feasibility and complementary
-slackness, which are asserted, so the final cost equality is a proof of
-optimality; with integer k and bounds the multiplicities come out
-integral.
+The algorithm is the primal-dual loop of Cunningham's "Optimal attack
+and reinforcement of a network" (J. ACM 32(3), 1985).  It grows a set of
+"tight" edges and keeps a current partition that attains the minimum of
+the subproblem bounds(crossing tight edges) - k * (|P| - 1).  Each round
+raises the dual variable of the current partition until some crossing
+non-tight edge's reduced cost hits zero and admits that edge.  The new
+subproblem optimum is then either the current partition or the current
+one with a single group of blocks merged, a group holding every block
+the admitted edge meets, so one min cut of the supermodular gadget on
+the quotient by the current partition finds it.  On a merge the
+multiplicity of the just-admitted edge is set by the merge's deficit
+(and the merged blocks fuse); otherwise the edge enters at its bound.
+The subproblem minimum reaching zero certifies primal feasibility;
+running out of crossing edges proves infeasibility with the current
+partition as the certificate.  Every dual update keeps feasibility and
+complementary slackness, which are asserted, so the final cost equality
+is a proof of optimality; with integer k and bounds the multiplicities
+come out integral.
 """
 
 from __future__ import annotations
@@ -28,7 +33,8 @@ from fractions import Fraction
 from typing import Iterable, Sequence
 
 from .core import EdgeVector, Hypergraph, Partition
-from .partition_oracle import min_partition
+from .gadgets import build_supermodular_gadget, interpret_gadget_cut
+from .mincut import min_st_cut
 
 
 @dataclass(frozen=True)
@@ -127,30 +133,48 @@ def canonicalize_merge(h: Hypergraph, old: Partition, new: Partition, trigger: i
 
 
 def _subproblem(h: Hypergraph, tight: Sequence[int], bounds: Sequence[Fraction],
-                threshold: Fraction, current: Partition) -> tuple[Fraction, Partition]:
-    """Minimize bounds(crossing tight edges) - threshold * (|P| - 1).
+                threshold: Fraction, current: Partition, trigger: int) -> tuple[Fraction, Partition]:
+    """Minimize bounds(crossing tight edges) - threshold * (|P| - 1) once `trigger` is tight.
 
-    Solved on the quotient by the current partition: blocks become
-    vertices and tight edges map through, dropping those inside a block.
-    The merge structure of successive optima guarantees some optimum is a
-    coarsening of the current partition, so the quotient loses nothing.
+    The current partition attained the minimum before the trigger became
+    tight, and admitting it raises every partition it crosses by the same
+    bound.  So the new optimum is the current partition or the current
+    one with one group S of blocks merged, S holding the blocks the
+    trigger meets, which changes the value by
+    delta(S) = threshold * (|S| - 1) - bounds(tight edges inside S).
+    One cut minimizes delta.  On the quotient each block is a vertex
+    charged threshold, except that the trigger's blocks contract into the
+    forced vertex 0, charged threshold for all but one of them; each
+    crossing tight edge maps to its block image, a loop at 0 when it lies
+    within the trigger's blocks.  Then charge(W) - bounds(E[W]) is delta
+    of the blocks W stands for.
+    A minimum of zero or less merges the cut's witness, the
+    inclusion-maximal minimizer.  At a new optimum of zero that is every
+    block, so reinforcement ends on the one-block partition.
     """
     blocks = current.blocks
-    if len(blocks) == 1:
-        return Fraction(0), current
-    images: list[tuple[int, ...]] = []
+    trigger_blocks = {current.block_index(v) for v in h.edges[trigger].vertices}
+    others = [i for i in range(len(blocks)) if i not in trigger_blocks]
+    qid = [0] * len(blocks)
+    for q, i in enumerate(others, 1):
+        qid[i] = q
+    images: list[list[int]] = []
     weights: list[Fraction] = []
     for e in tight:
-        img = sorted({current.block_index(v) for v in h.edges[e].vertices})
+        img = {current.block_index(v) for v in h.edges[e].vertices}
         if len(img) >= 2:
-            images.append(tuple(img))
+            images.append(sorted({qid[i] for i in img}))
             weights.append(bounds[e])
-    quotient = Hypergraph(len(blocks), images)
-    res = min_partition(quotient, EdgeVector(weights), threshold)
-    lifted = Partition(h.n, tuple(
-        tuple(sorted(v for i in qb for v in blocks[i])) for qb in res.partition.blocks
-    ))
-    return res.value, lifted
+    charges = [threshold * (len(trigger_blocks) - 1)] + [threshold] * len(others)
+    g = build_supermodular_gadget(Hypergraph(len(charges), images), EdgeVector(weights),
+                                  charges, forced=0)
+    cut = interpret_gadget_cut(g, min_st_cut(g.network))
+    value = g.x.total() - threshold * (len(blocks) - 1)
+    if cut.value > 0:
+        return value, current
+    merged = tuple(v for i, b in enumerate(blocks) if qid[i] in cut.witness for v in b)
+    rest = tuple(b for i, b in enumerate(blocks) if qid[i] not in cut.witness)
+    return value + cut.value, Partition(h.n, (merged, *rest))
 
 
 def _partition_value(h: Hypergraph, tight: Iterable[int], bounds: Sequence[Fraction],
@@ -230,12 +254,10 @@ def reinforce(h: Hypergraph, tree_count: int, costs: EdgeVector,
         tight.append(trigger)
         tight_set.add(trigger)
 
-        value, optimum = _subproblem(h, tight, ub, k, current)
+        value, optimum = _subproblem(h, tight, ub, k, current, trigger)
         assert value <= 0
-        if value == 0:
-            # any zero-value optimum works; the one-block partition is one,
-            # and ending on it gives the terminal identity x(E) = k (|V| - 1)
-            optimum = Partition.whole(h.n)
+        assert value < 0 or optimum == Partition.whole(h.n), \
+            "zero-value optimum is not the one-block partition"
         assert _partition_value(h, tight, ub, k, optimum) == value, \
             "lifted optimum does not attain the subproblem value"
         desc = canonicalize_merge(h, current, optimum, trigger, x, k, ub)

@@ -336,15 +336,19 @@ def test_criterion_9_scale_smoke():
         ("separate", lambda: separate_polytope(h, point)),
         ("strength", lambda: strength(h).sigma),
         ("arboricity", lambda: arboricity(h).rho),
-        ("reinforce", lambda: reinforce(h, 1, costs).status),
+        ("reinforce", lambda: reinforce(h, 1, costs)),
     ]
     times = {}
+    results = {}
     try:
         for name, op in operations:
             start = time.monotonic()
-            op()
+            results[name] = op()
             times[name] = time.monotonic() - start
             assert times[name] < 60, f"{name} took {times[name]:.1f}s"
+        res = results["reinforce"]
+        assert (res.status, res.cost) == ("optimal", 215)
+        assert len(res.dual.tight_edges) == 128 and len(res.merges) == 128
     except BaseException:
         print("ACCEPTANCE 9 FAIL - scale smoke test (n=200, m=1000)")
         raise

@@ -8,9 +8,12 @@ from hypermat import (
     Hypergraph,
     Partition,
     canonicalize_merge,
+    min_partition,
     reinforce,
+    reinforcement,
 )
 from hypermat.brute import brute_reinforce
+from hypermat.mincut import CutEngine
 
 from helpers import mst_cost, random_hypergraph, verify_optimal
 
@@ -29,6 +32,14 @@ class TestReinforce:
         desc = res.merges[0]
         assert desc.merged == frozenset({0, 1, 2})
         assert desc.value == 2
+
+    def test_zero_gain_merge_is_taken(self):
+        # admitting edge 0 leaves the subproblem value at -1 whether or not
+        # {0, 1} merges; the tie goes to the merge
+        h = Hypergraph(3, [[0, 1], [1, 2]])
+        res = reinforce(h, 1, EdgeVector.ones(2), EdgeVector.ones(2))
+        assert [(desc.merged, desc.value) for desc in res.merges] == [
+            (frozenset({0, 1}), 1), (frozenset({0, 1, 2}), 1)]
 
     def test_infeasible(self, h0):
         res = reinforce(h0, 1, EdgeVector.of([1, 2]), EdgeVector.of([1, 0]))
@@ -125,6 +136,71 @@ class TestReinforce:
             pairs = [tuple(e.vertices) for e in h.edges]
             assert res.status == "optimal"
             assert res.cost == mst_cost(n, pairs, list(d))
+
+
+def _instances(seed, count):
+    """Random reinforcement instances: n <= 8, k 1-3, bounds absent or 0-3."""
+    rng = random.Random(seed)
+    for _ in range(count):
+        n = rng.randint(2, 8)
+        h = random_hypergraph(rng, n, rng.randint(1, 3 * n), max_size=min(4, n))
+        costs = EdgeVector.of([rng.randint(0, 5) for _ in range(h.m)])
+        bounds = None if rng.random() < 0.3 else \
+            EdgeVector.of([rng.randint(0, 3) for _ in range(h.m)])
+        yield h, rng.randint(1, 3), costs, bounds
+
+
+def _no_oracle(*args, **kwargs):
+    raise AssertionError("the partition oracle ran")
+
+
+class TestOneCutSubproblem:
+    def test_matches_the_partition_oracle(self, monkeypatch):
+        # each round's single cut against the full oracle on the same quotient
+        one_cut = reinforcement._subproblem
+        rounds = 0
+
+        def checked(h, tight, bounds, threshold, current, trigger):
+            nonlocal rounds
+            rounds += 1
+            value, optimum = one_cut(h, tight, bounds, threshold, current, trigger)
+            images, weights = [], []
+            for e in tight:
+                img = sorted({current.block_index(v) for v in h.edges[e].vertices})
+                if len(img) >= 2:
+                    images.append(img)
+                    weights.append(bounds[e])
+            quotient = Hypergraph(len(current.blocks), images)
+            assert value == min_partition(quotient, EdgeVector(weights), threshold).value
+            crossing = h.cross_edges(tight, optimum)
+            attained = sum((bounds[e] for e in crossing), Fraction(0)) \
+                - threshold * (len(optimum.blocks) - 1)
+            assert attained == value, "returned partition misses the value"
+            return value, optimum
+
+        monkeypatch.setattr(reinforcement, "_subproblem", checked)
+        statuses = set()
+        for h, k, costs, bounds in _instances(0x1C07, 150):
+            statuses.add(reinforce(h, k, costs, bounds).status)
+        assert statuses == {"optimal", "infeasible"} and rounds > 300
+
+    def test_one_cut_per_round(self, monkeypatch):
+        monkeypatch.setattr("hypermat.partition_oracle.min_partition", _no_oracle)
+        monkeypatch.setattr("hypermat.reinforcement.min_partition", _no_oracle, raising=False)
+        solve = CutEngine.solve
+        solves = 0
+
+        def counted(engine):
+            nonlocal solves
+            solves += 1
+            return solve(engine)
+
+        monkeypatch.setattr(CutEngine, "solve", counted)
+        for h, k, costs, bounds in _instances(0x1C07, 150):
+            before = solves
+            res = reinforce(h, k, costs, bounds)
+            # every round admits one edge and solves one cut
+            assert solves - before == len(res.dual.tight_edges)
 
 
 class TestCanonicalizeMerge:
