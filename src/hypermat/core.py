@@ -15,6 +15,7 @@ Nothing in this package ever rounds.
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -270,12 +271,17 @@ class EdgeVector:
 
     The operations that consume a vector validate whatever their use
     requires (nonnegativity, length, integrality) at the point of use.
+
+    The first `total` or `sum_over` also stores the values as integers
+    over their common denominator, and both sum those integers.  Vectors
+    that are never summed never pay for that form.
     """
 
-    __slots__ = ("values",)
+    __slots__ = ("values", "_scaled")
 
     def __init__(self, values: Iterable[int | str | Fraction]) -> None:
         self.values: tuple[Fraction, ...] = tuple(as_fraction(v) for v in values)
+        self._scaled: tuple[list[int], int] | None = None
 
     @classmethod
     def of(cls, values: Iterable[int | str | Fraction]) -> "EdgeVector":
@@ -314,12 +320,20 @@ class EdgeVector:
         inner = ", ".join(format_rational(v) for v in self.values)
         return f"EdgeVector([{inner}])"
 
+    def _integers(self) -> tuple[list[int], int]:
+        """The values as integers over their common denominator, and that denominator."""
+        if self._scaled is None:
+            scale = math.lcm(*[v.denominator for v in self.values])
+            self._scaled = ([v.numerator * (scale // v.denominator) for v in self.values], scale)
+        return self._scaled
+
     def total(self) -> Fraction:
-        return sum(self.values, Fraction(0))
+        nums, scale = self._integers()
+        return Fraction(sum(nums), scale)
 
     def sum_over(self, edge_ids: Iterable[int]) -> Fraction:
-        vals = self.values
-        return sum((vals[e] for e in edge_ids), Fraction(0))
+        nums, scale = self._integers()
+        return Fraction(sum([nums[e] for e in edge_ids]), scale)
 
     def is_nonnegative(self) -> bool:
         return all(v >= 0 for v in self.values)

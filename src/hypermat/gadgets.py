@@ -3,19 +3,17 @@
 Polytope separation, the partition oracle (and through it rank and
 strength), each round of reinforcement and arboricity all minimize one
 set function by min cut: charge(W) - x(E[W]) over vertex sets W, or
-over those holding a forced vertex (the gadget of Padberg and Wolsey's
-"Trees and cuts", which Cunningham reuses for reinforcement).  Its one
-builder splits each selected hyperedge e into an entry node and an exit
-node joined by an arc carrying half the edge's weight; every vertex of
-e feeds the entry node and is fed by the exit node through infinite
-arcs, and both split nodes can escape to the sink for the same half
-weight.  A finite cut then encodes a vertex set W (the sink-side
-vertices): each edge either lies entirely inside W (both split nodes
-sink-side, contributing nothing), or pays its full weight to the cut.
-Per-vertex source and sink arcs carry the charges.
-`build_arboricity_gadget` is the same builder at arboricity's charges and
-weights.  `GadgetEngine` re-solves one such gadget after moving the
-forced vertex or changing a charge.
+over those holding a forced vertex.  Its one builder is the selection
+network of Rhys (Management Science 17(3), 1970) and Picard and
+Queyranne (INFOR 20, 1982): each selected hyperedge e becomes one node,
+fed by every vertex of e through an infinite arc and escaping to the
+sink for x_e.  A finite cut then encodes a vertex set W (the sink-side
+vertices): a source-side vertex drags the nodes of its edges along, so
+each edge either lies entirely inside W (its node sink-side, paying
+nothing) or pays x_e to the cut.  Per-vertex source and sink arcs carry
+the charges.  `build_arboricity_gadget` is the same builder at
+arboricity's charges and weights.  `GadgetEngine` re-solves one such
+gadget after moving the forced vertex or changing a charge.
 
 The independence gadget is a network of its own: unit arcs meter how
 many distinct vertices a sub-family of edges can be charged to.
@@ -37,17 +35,24 @@ _ZERO = Fraction(0)
 class GadgetGraph:
     """A supermodular cut gadget plus the bookkeeping to read its cuts back.
 
-    vertex_nodes maps vertex ids to network nodes and split_nodes edge
-    ids to (entry, exit) node pairs.  x and charges are what the gadget
-    was built with; offset is the term of the capacity identity that no
-    cut changes, x of the selected edges less the negative charges, so
-    a cut with witness W has capacity charge(W) - x(E[W]) + offset.
+    vertex_nodes maps vertex ids to network nodes and edge_nodes the
+    selected edge ids to theirs.  x and charges are what the gadget was
+    built with; offset is the term of the capacity identity that no cut
+    changes, x of the selected edges less the negative charges, so a
+    cut with witness W has capacity charge(W) - x(E[W]) + offset.
     forced is the vertex every witness must hold, or None.
+
+    The witness of the inclusion-minimal minimum cut, the one every
+    solve reports, is the inclusion-maximal minimizer of that function:
+    a minimizer W gives a minimum cut whose source side is the vertices
+    off W and the nodes of the edges leaving W, so the smallest source
+    side has the largest W.  Rank, strength, arboricity and
+    reinforcement break their ties by that rule.
     """
 
     network: FlowNetwork
     vertex_nodes: dict[int, int]
-    split_nodes: dict[int, tuple[int, int]]
+    edge_nodes: dict[int, int]
     edges: tuple[Hyperedge, ...]
     x: EdgeVector
     charges: tuple[Fraction, ...]
@@ -98,8 +103,8 @@ def build_supermodular_gadget(h: Hypergraph, x: EdgeVector, charges: Sequence[Fr
     negative; a vertex with positive charge costs that much to keep out
     of W (source arc), a negative one pays to be in W (sink arc).  The
     source arcs occupy positions 0..n-1 and the sink arcs n..2n-1 (the
-    forced vertex's sink arc is infinite); the edge splits over the
-    selected edges follow.  Every minimum cut has capacity min over W
+    forced vertex's sink arc is infinite); the arcs of the selected
+    edges' nodes follow.  Every minimum cut has capacity min over W
     of charge(W) - x(E[W]), plus the gadget's offset.
     """
     return _supermodular_gadget(h, x, charges, forced, edge_ids)
@@ -135,23 +140,15 @@ def _supermodular_gadget(h: Hypergraph, x: EdgeVector, charges: Sequence[Fractio
     arcs: list[tuple[int, int, Cap]] = [(0, 2 + v, c if c > 0 else _ZERO) for v, c in enumerate(ch)]
     for v, c in enumerate(ch):
         arcs.append((2 + v, 1, INF if v == forced else _sink_cap(c)))
-    split: dict[int, tuple[int, int]] = {}
-    nxt = 2 + h.n
-    for e in edges:
-        half = x[e.id] / 2
-        entry, exit_ = nxt, nxt + 1
-        nxt += 2
-        split[e.id] = (entry, exit_)
-        arcs.append((entry, exit_, half))
-        for u in e.vertices:
-            arcs.append((2 + u, entry, INF))
-            arcs.append((exit_, 2 + u, INF))
-        arcs.append((entry, 1, half))
-        arcs.append((exit_, 1, half))
+    enode: dict[int, int] = {}
+    for node, e in enumerate(edges, start=2 + h.n):
+        enode[e.id] = node
+        arcs.extend([(2 + u, node, INF) for u in e.vertices])
+        arcs.append((node, 1, x[e.id]))
     offset = x.sum_over(ids) - sum([c for c in ch if c < 0], _ZERO)
     return GadgetGraph(
-        network=FlowNetwork(nxt, tuple(arcs), 0, 1),
-        vertex_nodes={v: 2 + v for v in range(h.n)}, split_nodes=split, edges=edges,
+        network=FlowNetwork(2 + h.n + len(edges), tuple(arcs), 0, 1),
+        vertex_nodes={v: 2 + v for v in range(h.n)}, edge_nodes=enode, edges=edges,
         x=x, charges=tuple(ch), offset=offset, forced=forced,
     )
 
@@ -191,35 +188,37 @@ def interpret_gadget_cut(g: GadgetGraph, cut: CutResult) -> GadgetCutInterpretat
     """Read a supermodular gadget cut back as vertex and edge sets.
 
     Verifies the structural facts every minimum cut of the gadget must
-    satisfy: the forced vertex lands in the witness, an edge sits fully
-    sink-side exactly when it is contained in the witness, and the cut
-    capacity equals charge(W) - x(E[W]) + offset.
+    satisfy: the forced vertex lands in the witness, an edge's node is
+    source-side exactly when one of its vertices is, the sink-side edges
+    are exactly those contained in the witness, and the cut capacity
+    equals charge(W) - x(E[W]) + offset.
     """
     side = cut.source_side
-    source_vertices = frozenset(v for v, node in g.vertex_nodes.items() if node in side)
-    witness = frozenset(g.vertex_nodes) - source_vertices
-    inside = []
+    on_source = bytearray(len(g.charges))
+    for v, node in g.vertex_nodes.items():
+        if node in side:
+            on_source[v] = 1
+    source_vertices = frozenset(v for v, s in enumerate(on_source) if s)
+    witness = frozenset(v for v, s in enumerate(on_source) if not s)
+    inside, recount = [], []
     for e in g.edges:
-        entry, exit_ = g.split_nodes[e.id]
-        if entry not in side:
-            assert exit_ not in side, "exit node on the source side without its entry"
+        leaves = any(map(on_source.__getitem__, e.vertices))
+        # infinite wiring drags the node of an edge with a source-side
+        # vertex along; minimality keeps every other node sink-side
+        if g.edge_nodes[e.id] in side:
+            assert leaves, "edge node on the source side without any of its vertices"
+        else:
+            assert not leaves, "vertex on the source side but its edge node is not"
             inside.append(e.id)
-        # infinite wiring: a source-side vertex drags the entry node along,
-        # and a source-side exit node drags every vertex of the edge
-        if any(u in source_vertices for u in e.vertices):
-            assert entry in side, "vertex on the source side but entry node is not"
-        if exit_ in side:
-            assert all(u in source_vertices for u in e.vertices)
-    inside_set = frozenset(inside)
-    assert inside_set == frozenset(
-        e.id for e in g.edges if all(u in witness for u in e.vertices)
-    ), "sink-side edges are not exactly the edges inside the witness"
+        if not leaves:
+            recount.append(e.id)
+    assert inside == recount, "sink-side edges are not exactly the edges inside the witness"
     if g.forced is not None:
         assert g.forced in witness, "forced vertex escaped the witness"
-    value = sum((g.charges[v] for v in witness), _ZERO) - g.x.sum_over(inside_set)
+    value = sum([g.charges[v] for v in witness], _ZERO) - g.x.sum_over(inside)
     assert cut.capacity == value + g.offset, "capacity identity failed"
     return GadgetCutInterpretation(source_vertices=source_vertices, witness=witness,
-                                   edges_inside=inside_set, value=value)
+                                   edges_inside=frozenset(inside), value=value)
 
 
 class GadgetEngine:

@@ -198,12 +198,16 @@ class CutEngine:
         arc = table.get(v)
         if arc is None:
             arc = table[v] = len(self.tails)
-            self.tails.append(v if sink_side else self.s)
-            self.heads.append(self.t if sink_side else v)
+            tail, head = (v, self.t) if sink_side else (self.s, v)
+            self.tails.append(tail)
+            self.heads.append(head)
             self.caps.append(Fraction(0))
             self.res += [0, 0]
             self.extra.append(0)
-            self._index()
+            # the slots _index() would give the newest arc
+            self.to += [head, tail]
+            self.slots[tail].append(2 * arc)
+            self.slots[head].append(2 * arc + 1)
         return arc
 
     def _rescale(self, scale: int) -> None:

@@ -258,6 +258,21 @@ class TestEdgeVector:
             v.require_length(3, "weights")
         assert not EdgeVector.of(["1/2"]).is_integral()
 
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.builds(Fraction, st.integers(-50, 50), st.integers(1, 12)), max_size=12),
+           st.data())
+    def test_sums_match_fraction_sums(self, values, data):
+        # signed rationals with mixed denominators; ids may be empty or repeat
+        v = EdgeVector.of(values)
+        before = (hash(v), repr(v))
+        ids = data.draw(st.lists(st.integers(0, len(values) - 1), max_size=20)) if values else []
+        assert v.sum_over(ids) == sum((values[e] for e in ids), Fraction(0))
+        assert v.total() == sum(values, Fraction(0))
+        assert v.sum_over([]) == 0 and isinstance(v.sum_over(ids), Fraction)
+        # the first sum leaves equality, hashing and repr as they were
+        assert v.values == tuple(values)
+        assert (hash(v), repr(v)) == before and v == EdgeVector.of(values)
+
 
 SAMPLE = """\
 # a comment

@@ -35,11 +35,11 @@ def polytope_gadget(h, x, forced):
 class TestPolytopeGadget:
     def test_node_and_arc_counts(self, h0):
         g = polytope_gadget(h0, EdgeVector.of([1, "1/2"]), forced=0)
-        # source, sink, 3 vertex nodes, 2 split pairs
-        assert g.network.node_count == 9
+        # source, sink, 3 vertex nodes, 2 edge nodes
+        assert g.network.node_count == 7
         # 3 unit source arcs + 3 sink arcs (the forced one infinite, the
-        # others zero) + 2 * (1 split + 6 infinite + 2 sink halves)
-        assert len(g.network.arcs) == 24
+        # others zero) + 2 * (3 infinite vertex arcs + 1 sink arc)
+        assert len(g.network.arcs) == 14
 
     def test_capacity_matches_set_minimum(self, h0):
         x = EdgeVector.of([1, "1/2"])
@@ -94,6 +94,16 @@ class TestSupermodularGadget:
                 assert cap is INF
             else:
                 assert cap == -min(charges[v], Fraction(0))
+        # each selected edge: an infinite arc from each of its vertices to
+        # its node, and the node's one sink arc carrying x_e
+        assert set(g.edge_nodes) == {e.id for e in h1.edges}
+        rest = arcs[2 * h1.n:]
+        for e in h1.edges:
+            node = g.edge_nodes[e.id]
+            assert sorted((t, c) for t, hd, c in rest if hd == node) \
+                == [(g.vertex_nodes[u], INF) for u in e.vertices]
+            assert [(hd, c) for t, hd, c in rest if t == node] == [(g.network.sink, x[e.id])]
+        assert len(rest) == sum(len(e) + 1 for e in h1.edges)
 
     def test_capacity_identity_with_negative_charges(self, h1):
         charges = [Fraction(2), Fraction(-1), Fraction(3), Fraction(1)]
@@ -159,19 +169,31 @@ def charged_instances(draw):
     return Hypergraph(n, edges), EdgeVector.of(x), charges
 
 
+def _scorer(h, x, charges):
+    """charge(W) - x(E[W]) as a function of W."""
+    return lambda w: sum((charges[v] for v in w), Fraction(0)) - x.sum_over(h.induced_edges(None, w))
+
+
+def _union_of_minimizers(score, subsets):
+    """Union of every minimizer of score; for a submodular score it is one itself."""
+    scored = [(score(w), w) for w in subsets]
+    best = min(value for value, _ in scored)
+    return frozenset().union(*[w for value, w in scored if value == best])
+
+
 class TestSupermodularGadgetAgainstBrute:
+    # the cut's witness must be the inclusion-maximal minimizer: rank,
+    # strength, arboricity and reinforcement break their ties by it
     @settings(max_examples=100, deadline=None)
     @given(charged_instances())
     def test_unforced_cut_is_brute_minimum(self, inst):
         h, x, charges = inst
         g = build_supermodular_gadget(h, x, charges)
         info = interpret_gadget_cut(g, min_st_cut(g.network))
-
-        def score(w):
-            return sum((charges[v] for v in w), Fraction(0)) - x.sum_over(h.induced_edges(None, w))
-
+        score = _scorer(h, x, charges)
         best = min(score(w) for w in vertex_subsets(h.n))
         assert info.value == score(info.witness) == best
+        assert info.witness == _union_of_minimizers(score, vertex_subsets(h.n))
         assert g.offset == x.total() - sum(min(c, Fraction(0)) for c in charges)
 
     @settings(max_examples=100, deadline=None)
@@ -180,7 +202,9 @@ class TestSupermodularGadgetAgainstBrute:
         h, x, charges = inst
         swept = list(forced_sweep(build_supermodular_gadget(h, x, charges)))
         assert len(swept) == h.n
+        score = _scorer(h, x, charges)
         for v, info in enumerate(swept):
+            assert info.witness == _union_of_minimizers(score, vertex_subsets(h.n, forced=v))
             fresh = build_supermodular_gadget(h, x, charges, forced=v)
             cut = min_st_cut(fresh.network)
             ref = interpret_gadget_cut(fresh, cut)

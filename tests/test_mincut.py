@@ -330,6 +330,10 @@ class TestSequence:
                     seen["recovered"] += 1
             seen["shifted"] += engine.shift > 0
             seen["hidden"] += len(engine.caps) > len(net.arcs)
+            # hidden arcs append their own slots; they must match a full re-index
+            to, slots = engine.to, [list(out) for out in engine.slots]
+            engine._index()
+            assert (engine.to, engine.slots) == (to, slots), f"trial {trial}"
         assert all(count >= 5 for count in seen.values()), seen
 
 
