@@ -6,6 +6,17 @@ symbolic: an infinite residual admits flow but never shrinks, and when
 every s-t cut would have to cross an infinite arc the engine raises
 NoFiniteCutError instead of inventing a large finite stand-in.
 
+Each phase labels nodes by their residual distance to the sink, searching
+backwards from the sink and stopping as soon as the source is labelled;
+a depth-first search from the source then augments along arcs that step
+one unit closer to the sink, marking dead ends as it backs out of them.
+In the networks this package builds every vertex has a large source
+charge, so a search from the source fans out to nearly every node while
+only a few still have room to the sink; the backward search touches
+those few.  A phase starts only while some arc out of the source has
+residual room: when none has, the flow is already maximum, and a warm
+re-solve whose revisions opened nothing runs no phase at all.
+
 The engine is incremental.  Callers revise only arcs incident to the
 source or the sink and solve again; the flow of the previous solve is
 kept and only augmented.  A revision that leaves an arc carrying more
@@ -13,14 +24,16 @@ than its new capacity raises both terminal arcs of that vertex by the
 excess (the shift of Gallo, Grigoriadis and Tarjan, SIAM J. Comput.
 18(1), 1989).  That adds one constant to every finite cut, so the kept
 flow stays feasible and the minimum cuts stay the same; the reported
-capacity is the flow minus the accumulated shift, checked against the
-capacities of the arcs the cut crosses.
+capacity is the flow minus the accumulated shift, checked in integers
+against the capacities of the arcs the cut crosses.
 
-The reported source side is the set of nodes reachable in the final
-residual network.  Any maximum flow saturates every minimum cut, so that
-set lies inside each minimum cut's source side and is itself one: it is
-the unique inclusion-minimal minimum cut, however the flow was reached.
-Callers rely on that for deterministic tie-breaking.
+The reported source side is the set of nodes reachable from the source
+in the final residual network, found by one forward search after the
+last phase.  Any maximum flow saturates every minimum cut, so that set
+lies inside each minimum cut's source side and is itself one: it is the
+unique inclusion-minimal minimum cut, whichever maximum flow was reached
+and however the phases were layered.  Callers rely on that for
+deterministic tie-breaking.
 """
 
 from __future__ import annotations
@@ -136,7 +149,15 @@ class CutEngine:
     Residual slots 2*i and 2*i+1 belong to arc i: the forward slot holds
     what arc i can still take (-1 marks a symbolically infinite arc, which
     admits flow but is never decremented), the backward slot the flow on
-    it.  Every value is an integer over the common denominator `scale`.
+    it.  `int_caps[i]` is the capacity of arc i (-1 for INF).  Every value
+    is an integer over the common denominator `scale`.
+
+    solve() layers each phase by residual distance to the sink, augments
+    along arcs one unit closer to it, and stops once no arc out of the
+    source has room or the sink's backward search cannot reach the source.
+    One forward search from the source then gives the inclusion-minimal
+    source side, and the capacities of the arcs leaving it must sum to
+    the flow minus the shift.
 
     The residuals, the flow and the scale persist between solves, so
     solve() only augments what the latest revisions opened up.  Only arcs
@@ -166,9 +187,11 @@ class CutEngine:
                 if d != 1:
                     scale = scale * d // math.gcd(scale, d)
         self.scale = scale
+        # each capacity as an integer over `scale`, -1 for INF
+        self.int_caps = [-1 if c is INF else c.numerator * (scale // c.denominator)
+                         for c in self.caps]
         self.res = [0] * (2 * len(arcs))
-        for i, c in enumerate(self.caps):
-            self.res[2 * i] = -1 if c is INF else c.numerator * (scale // c.denominator)
+        self.res[::2] = self.int_caps
         self.extra = [0] * len(arcs)  # shift each arc carries, over `scale`
         self.flow = 0
         self.shift = 0
@@ -202,6 +225,7 @@ class CutEngine:
             self.tails.append(tail)
             self.heads.append(head)
             self.caps.append(Fraction(0))
+            self.int_caps.append(0)
             self.res += [0, 0]
             self.extra.append(0)
             # the slots _index() would give the newest arc
@@ -213,6 +237,7 @@ class CutEngine:
     def _rescale(self, scale: int) -> None:
         k = scale // self.scale
         self.res[:] = [r if r == -1 else r * k for r in self.res]
+        self.int_caps[:] = [c if c == -1 else c * k for c in self.int_caps]
         self.extra[:] = [e * k for e in self.extra]
         self.flow *= k
         self.shift *= k
@@ -230,12 +255,13 @@ class CutEngine:
         self.caps[arc] = cap
         res = self.res
         if cap is INF:
-            res[2 * arc] = -1
+            self.int_caps[arc] = res[2 * arc] = -1
             return
         d = cap.denominator
         if self.scale % d:
             self._rescale(self.scale * d // math.gcd(self.scale, d))
-        room = cap.numerator * (self.scale // d) + self.extra[arc] - res[2 * arc + 1]
+        c = self.int_caps[arc] = cap.numerator * (self.scale // d)
+        room = c + self.extra[arc] - res[2 * arc + 1]
         if room < 0:
             # only arcs leaving s or entering t ever carry flow
             if tail == s and head == t:
@@ -280,21 +306,24 @@ class CutEngine:
             raise NoFiniteCutError()
         res, to, slots = self.res, self.to, self.slots
         flow = self.flow
-        while True:
-            level = [-1] * n
-            level[s] = 0
-            queue = [s]
-            for v in queue:  # the loop visits what it appends
-                lv = level[v] + 1
-                for a in slots[v]:
-                    if res[a] != 0:
-                        w = to[a]
-                        if level[w] < 0:
-                            level[w] = lv
-                            queue.append(w)
-                if level[t] >= 0:
-                    break  # every level below t's is complete
-            if level[t] < 0:
+        # with no residual arc out of s the flow is already maximum
+        while any(res[a] for a in slots[s]):
+            # label nodes by residual distance to t, searching backwards:
+            # slot b of w leads back to to[b] when to[b] -> w has room
+            dist = [-1] * n
+            dist[t] = 0
+            queue = [t]
+            for w in queue:  # the loop visits what it appends
+                dv = dist[w] + 1
+                for b in slots[w]:
+                    if res[b ^ 1] != 0:
+                        v = to[b]
+                        if dist[v] < 0:
+                            dist[v] = dv
+                            queue.append(v)
+                if dist[s] >= 0:
+                    break  # every label below s's is complete
+            if dist[s] < 0:
                 break
             it = [0] * n
             path: list[int] = []
@@ -318,10 +347,10 @@ class CutEngine:
                     v = s
                     continue
                 out = slots[v]
-                i, end, lv = it[v], len(out), level[v] + 1
+                i, end, dw = it[v], len(out), dist[v] - 1
                 while i < end:
                     a = out[i]
-                    if res[a] != 0 and level[to[a]] == lv:
+                    if res[a] != 0 and dist[to[a]] == dw:
                         break
                     i += 1
                 it[v] = i
@@ -331,23 +360,33 @@ class CutEngine:
                     continue
                 if v == s:
                     break
-                level[v] = -1  # dead end for the rest of this phase
+                dist[v] = -1  # dead end for the rest of this phase
                 a = path.pop()
                 v = to[a ^ 1]
                 it[v] += 1
         self.flow = flow
 
-        # the last search found no path: `level` marks exactly the nodes
-        # reachable in the final residual network
-        scale = self.scale
+        # the nodes reachable from s in the final residual network
+        seen = bytearray(n)
+        seen[s] = 1
+        queue = [s]
+        for v in queue:
+            for a in slots[v]:
+                if res[a] != 0:
+                    w = to[a]
+                    if not seen[w]:
+                        seen[w] = 1
+                        queue.append(w)
+        int_caps = self.int_caps
         capacity = 0
-        for tail, head, c in zip(self.tails, self.heads, self.caps):
-            if level[tail] >= 0 and level[head] < 0:
-                assert c is not INF, "minimum cut crosses an infinite arc"
-                capacity += c.numerator * (scale // c.denominator)
+        for v in queue:
+            for a in slots[v]:
+                if not a & 1 and not seen[to[a]]:
+                    c = int_caps[a >> 1]
+                    assert c != -1, "minimum cut crosses an infinite arc"
+                    capacity += c
         assert capacity == flow - self.shift, "max-flow / min-cut mismatch"
-        return CutResult(frozenset(v for v in range(n) if level[v] >= 0),
-                         Fraction(capacity, scale))
+        return CutResult(frozenset(queue), Fraction(capacity, self.scale))
 
 
 def min_st_cut(network: FlowNetwork) -> CutResult:

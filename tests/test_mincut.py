@@ -3,6 +3,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from hypermat import (
     INF,
@@ -228,7 +230,8 @@ class TestSequence:
             _solve_states(net, [[(3, Fraction(1))]])
 
     def test_sequence_random_consistency(self):
-        # every state of the sequence must agree with a fresh solve
+        # every state of the sequence must agree with a fresh solve and
+        # with enumeration
         rng = random.Random(7)
         for _ in range(30):
             node_count = rng.randint(3, 6)
@@ -250,19 +253,22 @@ class TestSequence:
             # replay: apply batches cumulatively and re-solve from scratch
             current = list(net.arcs)
             assert results[0].capacity == min_st_cut(net).capacity
+            assert (results[0].capacity, results[0].source_side) == brute_cut(net)
             for j, batch in enumerate(batches, start=1):
                 for idx, cap in batch:
                     tail, head, _ = current[idx]
                     current[idx] = (tail, head, cap)
-                fresh = min_st_cut(FlowNetwork(node_count, tuple(current), 0, node_count - 1))
+                replayed = _replay(net, current)
+                fresh = min_st_cut(replayed)
                 assert results[j].capacity == fresh.capacity
                 assert results[j].source_side == fresh.source_side
+                assert (results[j].capacity, results[j].source_side) == brute_cut(replayed)
 
     def test_sequence_random_revision_kinds(self):
-        # warm re-solves against fresh solves over revisions that force the
-        # shift: infinite arcs turned finite under flow, new denominators,
-        # states with no finite cut, vertices with one terminal arc and
-        # direct source-sink arcs
+        # warm re-solves against fresh solves and enumeration over revisions
+        # that force the shift: infinite arcs turned finite under flow, new
+        # denominators, states with no finite cut, vertices with one
+        # terminal arc and direct source-sink arcs
         rng = random.Random(0x66A7)
         seen = {"unforce": 0, "recovered": 0, "shifted": 0, "hidden": 0, "direct": 0}
         for trial in range(120):
@@ -308,6 +314,7 @@ class TestSequence:
             engine = CutEngine(net)
             results = [_solve(engine)]
             fresh_results = [_fresh(net, current)]
+            brute_results = [brute_cut(net)]
             for batch in batches:
                 for idx, cap in batch:
                     tail, head, old = current[idx]
@@ -318,14 +325,16 @@ class TestSequence:
                     seen["unforce"] += old is INF and Fraction(engine.shift, engine.scale) > shift
                     seen["direct"] += (tail, head) == (s, t)
                 fresh_results.append(_fresh(net, current))
+                brute_results.append(brute_cut(_replay(net, current)))
                 results.append(_solve(engine))
-            for j, (got, fresh) in enumerate(zip(results, fresh_results)):
-                if fresh is None:
+            for j, (got, fresh, brute) in enumerate(zip(results, fresh_results, brute_results)):
+                if brute is None:
+                    assert fresh is None, f"trial {trial} state {j}"
                     assert isinstance(got, NoFiniteCutError), f"trial {trial} state {j}"
                     continue
                 assert isinstance(got, CutResult), f"trial {trial} state {j}"
-                assert got.capacity == fresh.capacity, f"trial {trial} state {j}"
-                assert got.source_side == fresh.source_side, f"trial {trial} state {j}"
+                assert got.capacity == fresh.capacity == brute[0], f"trial {trial} state {j}"
+                assert got.source_side == fresh.source_side == brute[1], f"trial {trial} state {j}"
                 if j and isinstance(results[j - 1], NoFiniteCutError):
                     seen["recovered"] += 1
             seen["shifted"] += engine.shift > 0
@@ -334,6 +343,10 @@ class TestSequence:
             to, slots = engine.to, [list(out) for out in engine.slots]
             engine._index()
             assert (engine.to, engine.slots) == (to, slots), f"trial {trial}"
+            # and the integer capacities must follow every rescale and revision
+            assert engine.int_caps == [-1 if c is INF else c * engine.scale
+                                       for c in engine.caps], f"trial {trial}"
+            assert all(type(c) is int for c in engine.int_caps), f"trial {trial}"
         assert all(count >= 5 for count in seen.values()), seen
 
 
@@ -341,9 +354,13 @@ def _random_cap(rng: random.Random) -> Fraction:
     return Fraction(rng.randint(0, 9), rng.choice((1, 1, 2, 3, 5, 7, 11)))
 
 
+def _replay(net: FlowNetwork, arcs: list) -> FlowNetwork:
+    return FlowNetwork(net.node_count, tuple(arcs), net.source, net.sink)
+
+
 def _fresh(net: FlowNetwork, arcs: list) -> CutResult | None:
     try:
-        return min_st_cut(FlowNetwork(net.node_count, tuple(arcs), net.source, net.sink))
+        return min_st_cut(_replay(net, arcs))
     except NoFiniteCutError:
         return None
 
@@ -383,3 +400,57 @@ class TestCutEngine:
         engine = CutEngine(FlowNetwork(2, ((0, 1, Fraction(1)),), 0, 1))
         with pytest.raises(ValueError):
             engine.set_capacity(0, Fraction(-1))
+
+
+_CAPS = st.one_of(st.just(INF), st.just(Fraction(0)),
+                  st.builds(Fraction, st.integers(0, 8), st.integers(1, 4)))
+
+
+@st.composite
+def revised_networks(draw):
+    """A network of at most 7 nodes with INF and zero arcs, and at most one
+    revision of an arc at the source or the sink."""
+    node_count = draw(st.integers(2, 7))
+    s, t = 0, node_count - 1
+    ends = st.integers(0, t)
+    arcs = draw(st.lists(st.tuples(ends, ends, _CAPS), min_size=1, max_size=14))
+    if draw(st.booleans()):
+        arcs = [(a, b, Fraction(0) if a == s else c) for a, b, c in arcs]  # nothing leaves s
+    terminal = [i for i, (a, b, _) in enumerate(arcs) if {a, b} & {s, t}]
+    revision = (draw(st.sampled_from(terminal)), draw(_CAPS)) if terminal else None
+    return FlowNetwork(node_count, tuple(arcs), s, t), revision
+
+
+def _check_against_brute(net: FlowNetwork, solve) -> None:
+    expected = brute_cut(net)
+    if expected is None:
+        with pytest.raises(NoFiniteCutError):
+            solve()
+        return
+    cut = solve()
+    assert (cut.capacity, cut.source_side) == expected
+
+
+class TestAgainstBruteProperty:
+    @settings(max_examples=300, deadline=None)
+    @given(revised_networks())
+    # every arc out of s has capacity 0: the first phase finds nothing to do
+    @example((FlowNetwork(4, ((0, 1, Fraction(0)), (0, 2, Fraction(0)), (1, 3, INF),
+                              (1, 2, Fraction(1)), (2, 3, Fraction(2))), 0, 3), None))
+    # the only source arc drops below its flow: no residual leaves s
+    @example((FlowNetwork(3, ((0, 1, Fraction(3)), (1, 2, Fraction(5))), 0, 2),
+              (0, Fraction(1))))
+    def test_cold_and_warm_agree_with_brute(self, case):
+        net, revision = case
+        _check_against_brute(net, lambda: min_st_cut(net))
+        if revision is None:
+            return
+        engine = CutEngine(net)
+        _solve(engine)
+        arc, cap = revision
+        engine.set_capacity(arc, cap)
+        arcs = list(net.arcs)
+        arcs[arc] = (arcs[arc][0], arcs[arc][1], cap)
+        revised = _replay(net, arcs)
+        _check_against_brute(revised, engine.solve)
+        _check_against_brute(revised, lambda: min_st_cut(revised))
