@@ -15,12 +15,17 @@ the charges.  `build_arboricity_gadget` is the same builder at
 arboricity's charges and weights.  `GadgetEngine` re-solves one such
 gadget after moving the forced vertex or changing a charge.
 
+Charges come in and go out as Fractions.  The builder also keeps them
+as integers over their common denominator, so reading a cut back sums
+charge(W) in integers and makes one Fraction of it.
+
 The independence gadget is a network of its own: unit arcs meter how
 many distinct vertices a sub-family of edges can be charged to.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Iterable, Iterator, Sequence
@@ -37,9 +42,11 @@ class GadgetGraph:
 
     vertex_nodes maps vertex ids to network nodes and edge_nodes the
     selected edge ids to theirs.  x and charges are what the gadget was
-    built with; offset is the term of the capacity identity that no cut
-    changes, x of the selected edges less the negative charges, so a
-    cut with witness W has capacity charge(W) - x(E[W]) + offset.
+    built with, and charge_nums are the charges as integers over
+    charge_scale, their common denominator.  offset is the term of the
+    capacity identity that no cut changes, x of the selected edges less
+    the negative charges, so a cut with witness W has capacity
+    charge(W) - x(E[W]) + offset.
     forced is the vertex every witness must hold, or None.
 
     The witness of the inclusion-minimal minimum cut, the one every
@@ -56,6 +63,8 @@ class GadgetGraph:
     edges: tuple[Hyperedge, ...]
     x: EdgeVector
     charges: tuple[Fraction, ...]
+    charge_nums: tuple[int, ...]
+    charge_scale: int
     offset: Fraction
     forced: int | None
 
@@ -95,7 +104,8 @@ def _sink_cap(c: Fraction) -> Fraction:
 
 def build_supermodular_gadget(h: Hypergraph, x: EdgeVector, charges: Sequence[Fraction],
                               forced: int | None = None,
-                              edge_ids: Iterable[int] | None = None) -> GadgetGraph:
+                              edge_ids: Iterable[int] | None = None, *,
+                              x_total: Fraction | None = None) -> GadgetGraph:
     """Cut network minimizing charge(W) - x(E[W]) over vertex sets W.
 
     With a forced vertex the minimum ranges over the W that hold it,
@@ -105,9 +115,11 @@ def build_supermodular_gadget(h: Hypergraph, x: EdgeVector, charges: Sequence[Fr
     source arcs occupy positions 0..n-1 and the sink arcs n..2n-1 (the
     forced vertex's sink arc is infinite); the arcs of the selected
     edges' nodes follow.  Every minimum cut has capacity min over W
-    of charge(W) - x(E[W]), plus the gadget's offset.
+    of charge(W) - x(E[W]), plus the gadget's offset.  A caller that has
+    already summed x over the selected edges passes it as x_total, and
+    the builder does not sum it again.
     """
-    return _supermodular_gadget(h, x, charges, forced, edge_ids)
+    return _supermodular_gadget(h, x, charges, forced, edge_ids, x_total)
 
 
 def build_arboricity_gadget(h: Hypergraph, density: Fraction,
@@ -119,11 +131,12 @@ def build_arboricity_gadget(h: Hypergraph, density: Fraction,
     its own so that a trace of the layer boundaries counts arboricity's
     builds, and among them its forced ones, apart from the others.
     """
-    return _supermodular_gadget(h, EdgeVector.ones(h.m), [density] * h.n, forced, None)
+    return _supermodular_gadget(h, EdgeVector.ones(h.m), [density] * h.n, forced, None, None)
 
 
 def _supermodular_gadget(h: Hypergraph, x: EdgeVector, charges: Sequence[Fraction],
-                         forced: int | None, edge_ids: Iterable[int] | None) -> GadgetGraph:
+                         forced: int | None, edge_ids: Iterable[int] | None,
+                         x_total: Fraction | None) -> GadgetGraph:
     # the body of both public builders: neither calls the other, so a
     # trace of the layer boundaries counts each build once
     x.require_length(h.m, "weights")
@@ -145,11 +158,16 @@ def _supermodular_gadget(h: Hypergraph, x: EdgeVector, charges: Sequence[Fractio
         enode[e.id] = node
         arcs.extend([(2 + u, node, INF) for u in e.vertices])
         arcs.append((node, 1, x[e.id]))
-    offset = x.sum_over(ids) - sum([c for c in ch if c < 0], _ZERO)
+    if x_total is None:
+        x_total = x.sum_over(ids)
+    offset = x_total - sum([c for c in ch if c < 0], _ZERO)
+    scale = math.lcm(*[c.denominator for c in ch])
+    nums = tuple([c.numerator * (scale // c.denominator) for c in ch])
     return GadgetGraph(
         network=FlowNetwork(2 + h.n + len(edges), tuple(arcs), 0, 1),
         vertex_nodes={v: 2 + v for v in range(h.n)}, edge_nodes=enode, edges=edges,
-        x=x, charges=tuple(ch), offset=offset, forced=forced,
+        x=x, charges=tuple(ch), charge_nums=nums, charge_scale=scale, offset=offset,
+        forced=forced,
     )
 
 
@@ -215,7 +233,8 @@ def interpret_gadget_cut(g: GadgetGraph, cut: CutResult) -> GadgetCutInterpretat
     assert inside == recount, "sink-side edges are not exactly the edges inside the witness"
     if g.forced is not None:
         assert g.forced in witness, "forced vertex escaped the witness"
-    value = sum([g.charges[v] for v in witness], _ZERO) - g.x.sum_over(inside)
+    nums = g.charge_nums
+    value = Fraction(sum([nums[v] for v in witness]), g.charge_scale) - g.x.sum_over(inside)
     assert cut.capacity == value + g.offset, "capacity identity failed"
     return GadgetCutInterpretation(source_vertices=source_vertices, witness=witness,
                                    edges_inside=frozenset(inside), value=value)

@@ -325,6 +325,8 @@ class CutEngine:
                     break  # every label below s's is complete
             if dist[s] < 0:
                 break
+            # a shortest path exists, so the phase must augment along it
+            phase_start = flow
             it = [0] * n
             path: list[int] = []
             v = s
@@ -359,6 +361,7 @@ class CutEngine:
                     v = to[a]
                     continue
                 if v == s:
+                    assert flow > phase_start, "phase with the source labelled found no path"
                     break
                 dist[v] = -1  # dead end for the rest of this phase
                 a = path.pop()

@@ -19,10 +19,15 @@ vertex and drop its value by the minimum slack y(S) - demand(S) over sets
 S containing it.  One min cut computes that slack exactly.  The sets that
 become tight are merged into a disjoint family whose complement-blocks
 form the optimal partition, and x(all) - y(V) is the optimal value.
+
+Weights and the threshold come in as Fractions and the value goes out
+as one.  In between the potentials, slacks and demands are integers
+over one common denominator, so the tightness checks sum integers.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable
@@ -79,14 +84,24 @@ def min_partition(h: Hypergraph, weights: EdgeVector, threshold: Fraction,
     for e in ids:
         if weights[e] < 0:
             raise ValueError(f"weights has a negative entry at edge {e}")
-    total = weights.sum_over(ids)
+    # potentials, demands and weights as integers over one denominator D;
+    # a total such as 1/2 + 1/2 would lose a factor of D, so D comes from
+    # the terms themselves
+    scale = math.lcm(threshold.denominator, *[weights[e].denominator for e in ids])
+    w = [0] * h.m
+    for e in ids:
+        v = weights[e]
+        w[e] = v.numerator * (scale // v.denominator)
+    t = threshold.numerator * (scale // threshold.denominator)
+    total = sum([w[e] for e in ids])
     root = 0
 
-    start = threshold + total
-    potentials = [start] * n
+    potentials = [t + total] * n
+    start = Fraction(t + total, scale)
     charges = [start] * n
     charges[root] = start + threshold
-    gadget = build_supermodular_gadget(h, weights, charges, edge_ids=ids)
+    gadget = build_supermodular_gadget(h, weights, charges, edge_ids=ids,
+                                       x_total=Fraction(total, scale))
     nodes = gadget.vertex_nodes
     engine = GadgetEngine(gadget)
 
@@ -94,8 +109,9 @@ def min_partition(h: Hypergraph, weights: EdgeVector, threshold: Fraction,
     family: list[frozenset[int]] = []
     steps = 0
 
-    def demand(sub: frozenset[int]) -> Fraction:
-        return cover_demand(sub, h, weights, threshold, root, ids)
+    def demand(sub: frozenset[int]) -> int:
+        inside = sum([w[e] for e in h.induced_edges(ids, sub)])
+        return inside if root in sub else inside + t
 
     for pivot in range(n):
         if covered[pivot]:
@@ -109,12 +125,14 @@ def min_partition(h: Hypergraph, weights: EdgeVector, threshold: Fraction,
         # value = charge(tight) - weights(inside tight), and a set's charge is
         # its potential plus the credit when it holds the root, so the
         # minimum slack over sets containing the pivot is:
-        slack = value - threshold
+        scaled = value * scale
+        assert scaled.denominator == 1, "slack off the common denominator"
+        slack = scaled.numerator - t
         assert pivot in tight
         assert slack >= 0, "cover became infeasible"
         potentials[pivot] -= slack
-        engine.set_charge(pivot, potentials[pivot] + (threshold if pivot == root else Fraction(0)))
-        assert sum((potentials[v] for v in tight), Fraction(0)) == demand(tight), \
+        engine.set_charge(pivot, Fraction(potentials[pivot] + (t if pivot == root else 0), scale))
+        assert sum([potentials[v] for v in tight]) == demand(tight), \
             "chosen set is not tight after the drop"
         # uncross: unions of intersecting tight sets stay tight
         merged = set(tight)
@@ -122,7 +140,7 @@ def min_partition(h: Hypergraph, weights: EdgeVector, threshold: Fraction,
         for s in family:
             if s & merged:
                 merged |= s
-                assert sum((potentials[v] for v in merged), Fraction(0)) == demand(frozenset(merged)), \
+                assert sum([potentials[v] for v in merged]) == demand(frozenset(merged)), \
                     "union of intersecting tight sets lost tightness"
             else:
                 keep.append(s)
@@ -132,13 +150,14 @@ def min_partition(h: Hypergraph, weights: EdgeVector, threshold: Fraction,
             covered[v] = 1
 
     partition = Partition(n, tuple(tuple(sorted(s)) for s in family))
-    value = total - sum(potentials, Fraction(0))
+    value = total - sum(potentials)
     crossing = h.cross_edges(ids, partition)
-    recomputed = weights.sum_over(crossing) - threshold * (len(partition.blocks) - 1)
+    recomputed = sum([w[e] for e in crossing]) - t * (len(partition.blocks) - 1)
     assert value == recomputed, "greedy value disagrees with its own partition"
     assert value <= 0, "one-block partition bound violated"
     if value < 0:
         # dual certificate: the tight family's demands sum past the total weight
-        demands = sum((demand(s) for s in family), Fraction(0))
-        assert demands == sum(potentials, Fraction(0)) and demands > total
-    return PartitionOracleResult(value=value, partition=partition, violated=value < 0)
+        demands = sum([demand(s) for s in family])
+        assert demands == sum(potentials) and demands > total
+    return PartitionOracleResult(value=Fraction(value, scale), partition=partition,
+                                 violated=value < 0)

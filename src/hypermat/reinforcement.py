@@ -24,6 +24,10 @@ partition as the certificate.  Every dual update keeps feasibility and
 complementary slackness, which are asserted, so the final cost equality
 is a proof of optimality; with integer k and bounds the multiplicities
 come out integral.
+
+Costs and bounds come in as Fractions, and every number handed out is
+one.  The loop itself runs on integers: reduced costs and duals over the
+costs' common denominator, multiplicities and bounds over the bounds'.
 """
 
 from __future__ import annotations
@@ -177,10 +181,10 @@ def _subproblem(h: Hypergraph, tight: Sequence[int], bounds: Sequence[Fraction],
     return value + cut.value, Partition(h.n, (merged, *rest))
 
 
-def _partition_value(h: Hypergraph, tight: Iterable[int], bounds: Sequence[Fraction],
-                     threshold: Fraction, p: Partition) -> Fraction:
+def _partition_value(h: Hypergraph, tight: Iterable[int], bounds: Sequence[int],
+                     threshold: int, p: Partition) -> int:
     crossing = h.cross_edges(list(tight), p)
-    return sum((bounds[e] for e in crossing), Fraction(0)) - threshold * (len(p.blocks) - 1)
+    return sum([bounds[e] for e in crossing]) - threshold * (len(p.blocks) - 1)
 
 
 def reinforce(h: Hypergraph, tree_count: int, costs: EdgeVector,
@@ -202,111 +206,131 @@ def reinforce(h: Hypergraph, tree_count: int, costs: EdgeVector,
     k = Fraction(tree_count)
     if bounds is None:
         ub = [k * max(h.n - 1, 1)] * h.m
+        ubi, bscale = [tree_count * max(h.n - 1, 1)] * h.m, 1
     else:
         bounds.require_length(h.m, "bounds")
         bounds.require_nonnegative("bounds")
         ub = list(bounds)
-
-    def dual_state(gammas: dict[Partition, Fraction], bdual: list[Fraction],
-                   reduced: list[Fraction], tight: list[int], p: Partition) -> DualState:
-        return DualState(partition_duals=list(gammas.items()), bound_duals=list(bdual),
-                         reduced_costs=list(reduced), tight_edges=list(tight),
-                         final_partition=p)
+        ubi, bscale = bounds._integers()
 
     if tree_count == 0 or h.n == 1:
-        dual = dual_state({}, [Fraction(0)] * h.m, list(costs), [], Partition.whole(h.n))
+        dual = DualState(partition_duals=[], bound_duals=[Fraction(0)] * h.m,
+                         reduced_costs=list(costs), tight_edges=[],
+                         final_partition=Partition.whole(h.n))
         return ReinforcementResult(status="optimal", x=EdgeVector.zeros(h.m),
                                    cost=Fraction(0), dual=dual)
 
+    # the loop runs on integers: reduced costs and duals over the costs'
+    # common denominator cscale, multiplicities over the bounds' bscale,
+    # with kb = k * bscale; x keeps the Fractions canonicalize_merge reads
+    cnums, cscale = costs._integers()
+    reduced = list(cnums)
+    bdual = [0] * h.m
+    gammas: dict[Partition, int] = {}
     x: list[Fraction] = [Fraction(0)] * h.m
-    reduced: list[Fraction] = list(costs)
-    bdual: list[Fraction] = [Fraction(0)] * h.m
-    gammas: dict[Partition, Fraction] = {}
+    xi = [0] * h.m
+    kb = tree_count * bscale
     tight: list[int] = []
-    tight_set: set[int] = set()
     current = Partition.singletons(h.n)
     merges: list[MergeDescriptor] = []
+    # the crossing edges of the current partition, split into the open
+    # candidates and the tight ones
+    candidates = set(h.cross_edges(None, current))
+    held: set[int] = set()
+
+    def dual_state(p: Partition) -> DualState:
+        return DualState(
+            partition_duals=[(q, Fraction(g, cscale)) for q, g in gammas.items()],
+            bound_duals=[Fraction(b, cscale) for b in bdual],
+            reduced_costs=[Fraction(r, cscale) for r in reduced],
+            tight_edges=list(tight), final_partition=p)
 
     rounds = 0
     while True:
         rounds += 1
         assert rounds <= h.m + 1, "admitted more edges than exist"
-        crossing = h.cross_edges(None, current)
-        candidates = [e for e in sorted(crossing) if e not in tight_set]
         if not candidates:
             # even at full bounds the crossing edges cannot meet the
             # requirement: the current partition certifies infeasibility
-            assert _partition_value(h, tight, ub, k, current) < 0
-            dual = dual_state(gammas, bdual, reduced, tight, current)
+            assert _partition_value(h, tight, ubi, kb, current) < 0
             return ReinforcementResult(status="infeasible", x=None, cost=None,
-                                       dual=dual, merges=tuple(merges))
-        step = min(reduced[e] for e in candidates)
+                                       dual=dual_state(current), merges=tuple(merges))
+        step = min([reduced[e] for e in candidates])
         assert step >= 0, "reduced cost went negative"
         if step > 0:
-            gammas[current] = gammas.get(current, Fraction(0)) + step
-            for e in crossing:
-                if e in tight_set:
-                    bdual[e] += step
-                    assert x[e] == ub[e], "crossing tight edge below its bound"
+            gammas[current] = gammas.get(current, 0) + step
+            for e in held:
+                bdual[e] += step
+                assert xi[e] == ubi[e], "crossing tight edge below its bound"
             for e in candidates:
                 reduced[e] -= step
-        trigger = min(e for e in candidates if reduced[e] == 0)
+        trigger = min([e for e in candidates if reduced[e] == 0])
         tight.append(trigger)
-        tight_set.add(trigger)
+        candidates.remove(trigger)
+        held.add(trigger)
 
         value, optimum = _subproblem(h, tight, ub, k, current, trigger)
+        scaled = value * bscale
+        assert scaled.denominator == 1, "subproblem value off the bounds' denominator"
+        value = scaled.numerator
         assert value <= 0
         assert value < 0 or optimum == Partition.whole(h.n), \
             "zero-value optimum is not the one-block partition"
-        assert _partition_value(h, tight, ub, k, optimum) == value, \
+        assert _partition_value(h, tight, ubi, kb, optimum) == value, \
             "lifted optimum does not attain the subproblem value"
         desc = canonicalize_merge(h, current, optimum, trigger, x, k, ub)
         if desc is None:
-            assert _partition_value(h, tight, ub, k, current) == value, \
+            assert _partition_value(h, tight, ubi, kb, current) == value, \
                 "canonical identity step lost optimality"
-            x[trigger] = ub[trigger]
+            x[trigger], xi[trigger] = ub[trigger], ubi[trigger]
         else:
-            x[trigger] = desc.value
+            lam = desc.value * bscale
+            assert lam.denominator == 1, "merge deficit off the bounds' denominator"
+            x[trigger], xi[trigger] = desc.value, lam.numerator
             merges.append(desc)
             merged_partition = Partition(h.n, tuple(
                 [tuple(sorted(desc.merged))]
                 + [b for i, b in enumerate(current.blocks) if i not in desc.block_indices]
             ))
-            assert _partition_value(h, tight, ub, k, merged_partition) == value, \
+            assert _partition_value(h, tight, ubi, kb, merged_partition) == value, \
                 "canonical merge step lost optimality"
             inside = h.induced_edges(None, desc.merged)
-            assert sum((x[e] for e in inside), Fraction(0)) == k * (len(desc.merged) - 1), \
+            assert sum([xi[e] for e in inside]) == kb * (len(desc.merged) - 1), \
                 "merged block misses its exact requirement"
+            candidates -= inside
+            held -= inside
             current = merged_partition
         if value == 0:
             break
         # loop invariants: dual feasibility, and partially used edges
         # buried inside blocks so later raises never touch them
-        assert all(r >= 0 for r in reduced) and all(b >= 0 for b in bdual)
-        for e in range(h.m):
-            if 0 < x[e] < ub[e]:
-                img = {current.block_index(v) for v in h.edges[e].vertices}
-                assert len(img) == 1, "partially used edge crosses the partition"
+        assert min(reduced, default=0) >= 0 and min(bdual, default=0) >= 0
+        label = current._label
+        for e, (xe, ue) in enumerate(zip(xi, ubi)):
+            if 0 < xe < ue:
+                vs = h.edges[e].vertices
+                assert all(label[v] == label[vs[0]] for v in vs), \
+                    "partially used edge crosses the partition"
 
-    total = sum(x, Fraction(0))
-    assert total == k * (h.n - 1), "terminal multiplicity total off"
-    cost = sum((costs[e] * x[e] for e in range(h.m)), Fraction(0))
-    dual_obj = sum((g * k * (len(p.blocks) - 1) for p, g in gammas.items()), Fraction(0))
-    dual_obj -= sum((ub[e] * bdual[e] for e in range(h.m)), Fraction(0))
+    assert sum(xi) == kb * (h.n - 1), "terminal multiplicity total off"
+    # cost and dual objective over cscale * bscale
+    cost = sum([c * xe for c, xe in zip(cnums, xi)])
+    dual_obj = sum([g * kb * (len(p.blocks) - 1) for p, g in gammas.items()])
+    dual_obj -= sum([u * b for u, b in zip(ubi, bdual)])
     assert cost == dual_obj, "primal and dual objectives differ"
     # complementary slackness, exactly
     for p, g in gammas.items():
         if g > 0:
-            got = sum((x[e] for e in h.cross_edges(None, p)), Fraction(0))
-            assert got == k * (len(p.blocks) - 1), "raised partition not tight in x"
+            got = sum([xi[e] for e in h.cross_edges(None, p)])
+            assert got == kb * (len(p.blocks) - 1), "raised partition not tight in x"
     for e in range(h.m):
         if bdual[e] > 0:
-            assert x[e] == ub[e], "bound dual positive on an unsaturated edge"
-        if x[e] > 0:
+            assert xi[e] == ubi[e], "bound dual positive on an unsaturated edge"
+        if xi[e] > 0:
             assert reduced[e] == 0, "used edge with positive reduced cost"
-        assert 0 <= x[e] <= ub[e]
+        assert 0 <= xi[e] <= ubi[e]
     if tree_count >= 0 and (bounds is None or bounds.is_integral()):
         assert all(v.denominator == 1 for v in x), "integral data, fractional optimum"
-    dual = dual_state(gammas, bdual, reduced, tight, current)
-    return ReinforcementResult(status="optimal", x=EdgeVector(x), cost=cost,
-                               dual=dual, merges=tuple(merges))
+    return ReinforcementResult(status="optimal", x=EdgeVector(x),
+                               cost=Fraction(cost, cscale * bscale),
+                               dual=dual_state(current), merges=tuple(merges))

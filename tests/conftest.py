@@ -1,6 +1,11 @@
 import pytest
+from hypothesis import settings
 
 from hypermat import Hypergraph
+
+# CI selects this profile with --hypothesis-profile=ci: the same examples
+# on every run, and a failure prints the blob that replays it
+settings.register_profile("ci", derandomize=True, print_blob=True)
 
 
 @pytest.fixture

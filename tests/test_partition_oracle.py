@@ -1,7 +1,10 @@
+import math
 import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from hypermat import (
     EdgeVector,
@@ -118,3 +121,44 @@ class TestAgainstBrute:
             res = min_partition(h, w, t, edge_ids=ids)
             expected, _ = brute_min_partition(h, w, t, ids)
             assert res.value == expected, f"trial {trial}"
+
+
+@st.composite
+def oracle_instances(draw):
+    """n <= 5, loops allowed, weights over mixed denominators and a
+    fractional threshold; with `balance` one more edge makes the total of
+    the selected weights an integer while the weights stay fractional."""
+    n = draw(st.integers(1, 5))
+    edges = draw(st.lists(
+        st.lists(st.integers(0, n - 1), min_size=1, max_size=n, unique=True), max_size=7))
+    rational = st.builds(Fraction, st.integers(0, 6), st.sampled_from([1, 2, 3, 4, 6]))
+    weights = draw(st.lists(rational, min_size=len(edges), max_size=len(edges)))
+    chosen = draw(st.lists(st.booleans(), min_size=len(edges), max_size=len(edges)))
+    ids = None if draw(st.booleans()) else [e for e, c in enumerate(chosen) if c]
+    if draw(st.booleans()):
+        # an edge whose weight rounds the selected total up to an integer
+        total = sum((weights[e] for e in (range(len(edges)) if ids is None else ids)),
+                    Fraction(0))
+        edges.append(draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=n, unique=True)))
+        weights.append(math.ceil(total) - total)
+        if ids is not None:
+            ids.append(len(edges) - 1)
+    threshold = draw(st.builds(Fraction, st.integers(1, 6), st.integers(1, 4)))
+    return Hypergraph(n, edges), EdgeVector(weights), threshold, ids
+
+
+class TestAgainstBruteProperty:
+    @settings(max_examples=150, deadline=None)
+    @given(oracle_instances())
+    @example((Hypergraph(3, [[0, 1, 2], [0, 1, 2]]), EdgeVector.of(["1/2", "1/2"]),
+              Fraction(3, 2), None))
+    @example((Hypergraph(3, [[0, 1], [1, 2]]), EdgeVector.of(["1/3", "2/3"]),
+              Fraction(1, 2), [0, 1]))
+    def test_value_and_partition(self, inst):
+        h, w, t, ids = inst
+        res = min_partition(h, w, t, ids)
+        expected, _ = brute_min_partition(h, w, t, ids)
+        assert res.value == expected
+        assert crossing_value(h, w, res.partition, t, ids) == expected
+        assert res.violated == (expected < 0)
+        assert type(res.value) is Fraction

@@ -1,7 +1,10 @@
+import math
 import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from hypermat import (
     EdgeVector,
@@ -241,3 +244,76 @@ class TestCanonicalizeMerge:
             canonicalize_merge(h0, Partition.singletons(3), Partition.whole(4),
                                trigger=0, x=[Fraction(0)] * 2,
                                threshold=Fraction(1), bounds=[Fraction(1)] * 2)
+
+
+@st.composite
+def reinforce_instances(draw):
+    """n <= 5, m <= 4, k 0-2; costs over mixed denominators; bounds absent
+    or fractional with denominators that differ from edge to edge."""
+    n = draw(st.integers(2, 5))
+    edges = draw(st.lists(
+        st.lists(st.integers(0, n - 1), min_size=1, max_size=n, unique=True),
+        min_size=1, max_size=4))
+    costs = draw(st.lists(st.builds(Fraction, st.integers(0, 6), st.sampled_from([1, 2, 3, 4])),
+                          min_size=len(edges), max_size=len(edges)))
+    bounds = draw(st.none() | st.lists(
+        st.builds(Fraction, st.integers(0, 4), st.sampled_from([1, 2, 3])),
+        min_size=len(edges), max_size=len(edges)))
+    k = draw(st.integers(0, 2))
+    return Hypergraph(n, edges), k, EdgeVector(costs), \
+        None if bounds is None else EdgeVector(bounds)
+
+
+class TestAgainstBruteProperty:
+    @settings(max_examples=120, deadline=None)
+    @given(reinforce_instances())
+    @example((Hypergraph(3, [[0, 1, 2], [0, 1, 2]]), 1, EdgeVector.of(["1/2", "2/3"]),
+              EdgeVector.of(["1/2", "2/3"])))
+    @example((Hypergraph(3, [[0, 1], [1, 2], [0, 2]]), 2, EdgeVector.of(["1/3", 1, "3/4"]), None))
+    def test_cost_and_certificate(self, inst):
+        h, k, costs, bounds = inst
+        res = reinforce(h, k, costs, bounds)
+        # scaling x and the bounds by their common denominator d gives integer
+        # data, whose optimum is integral and d times the original one
+        ub = EdgeVector.constant(h.m, k * (h.n - 1)) if bounds is None else bounds
+        d = math.lcm(*[u.denominator for u in ub])
+        status, cost, _ = brute_reinforce(h, k * d, costs,
+                                          EdgeVector([u * d for u in ub]))
+        assert res.status == status
+        if status == "optimal":
+            assert res.cost == cost / d
+            verify_optimal(h, k, costs, None if bounds is None else list(bounds), res)
+
+
+def _fraction_outputs(res):
+    dual = res.dual
+    yield from dual.reduced_costs
+    yield from dual.bound_duals
+    yield from (g for _, g in dual.partition_duals)
+    yield from (desc.value for desc in res.merges)
+    if res.x is not None:
+        yield from res.x
+        yield res.cost
+
+
+class TestOutputTypes:
+    @pytest.mark.parametrize("costs, bounds, status", [
+        (["1/2", 2], None, "optimal"),
+        ([1, 2], [2, 2], "optimal"),
+        ([1, "2/3"], ["3/2", "5/3"], "optimal"),
+        ([1, 2], [1, 0], "infeasible"),
+    ])
+    def test_every_number_is_a_fraction(self, h0, costs, bounds, status):
+        res = reinforce(h0, 1, EdgeVector.of(costs), bounds and EdgeVector.of(bounds))
+        assert res.status == status
+        values = list(_fraction_outputs(res))
+        assert values and all(type(v) is Fraction for v in values)
+
+    def test_both_outcomes_on_random_instances(self):
+        statuses = set()
+        for h, k, costs, bounds in _instances(0x7F4C, 80):
+            res = reinforce(h, k, costs, bounds)
+            statuses.add(res.status)
+            values = list(_fraction_outputs(res))
+            assert values and all(type(v) is Fraction for v in values)
+        assert statuses == {"optimal", "infeasible"}
