@@ -40,7 +40,6 @@ from .gadgets import (
 )
 from .partition_oracle import (
     PartitionOracleResult,
-    cover_demand,
     min_partition,
 )
 from .matroid import (
@@ -60,7 +59,6 @@ from .reinforcement import (
     DualState,
     MergeDescriptor,
     ReinforcementResult,
-    canonicalize_merge,
     reinforce,
 )
 
@@ -96,8 +94,6 @@ __all__ = [
     "as_fraction",
     "build_independence_gadget",
     "build_supermodular_gadget",
-    "canonicalize_merge",
-    "cover_demand",
     "forced_sweep",
     "format_rational",
     "independence_test_incremental",

@@ -49,22 +49,6 @@ class PartitionOracleResult:
     violated: bool
 
 
-def cover_demand(subset: Iterable[int], h: Hypergraph, weights: EdgeVector,
-                 threshold: Fraction, root: int,
-                 edge_ids: Iterable[int] | None = None) -> Fraction:
-    """Demand a cover must meet on a nonempty vertex set: the weight of
-    the selected edges inside it, plus the block credit when the set
-    misses the root."""
-    sub = frozenset(subset)
-    if not sub:
-        raise ValueError("demand of the empty set is not defined")
-    inside = h.induced_edges(edge_ids, sub)
-    value = weights.sum_over(inside)
-    if root not in sub:
-        value += as_fraction(threshold)
-    return value
-
-
 def min_partition(h: Hypergraph, weights: EdgeVector, threshold: Fraction,
                   edge_ids: Iterable[int] | None = None) -> PartitionOracleResult:
     """Minimize weights(crossing P) - threshold * (|P| - 1) over partitions P.

@@ -15,9 +15,10 @@ non-tight edge's reduced cost hits zero and admits that edge.  The new
 subproblem optimum is then either the current partition or the current
 one with a single group of blocks merged, a group holding every block
 the admitted edge meets, so one min cut of the supermodular gadget on
-the quotient by the current partition finds it.  On a merge the
-multiplicity of the just-admitted edge is set by the merge's deficit
-(and the merged blocks fuse); otherwise the edge enters at its bound.
+the quotient by the current partition finds it.  The blocks in the
+cut's witness fuse, and the just-admitted edge takes the merge's
+deficit: what the tight edges between those blocks lack of
+k * (blocks - 1).  Without a merge the edge enters at its bound.
 The subproblem minimum reaching zero certifies primal feasibility;
 running out of crossing edges proves infeasibility with the current
 partition as the certificate.  Every dual update keeps feasibility and
@@ -43,11 +44,12 @@ from .mincut import min_st_cut
 
 @dataclass(frozen=True)
 class MergeDescriptor:
-    """Outcome of canonicalizing a subproblem optimum against the old partition.
+    """One merge of a reinforcement round, read off the round's cut.
 
-    block_indices are positions of the old partition's blocks fusing into
-    `merged`; value is the multiplicity assigned to the triggering edge,
-    chosen so the edges inside `merged` sum to exactly k * (blocks - 1).
+    block_indices are the positions of the old partition's blocks in the
+    cut's witness, which fuse into the vertex set `merged`; value is the
+    multiplicity assigned to the triggering edge, chosen so the edges
+    between those blocks sum to exactly k * (blocks - 1).
     """
 
     block_indices: frozenset[int]
@@ -81,104 +83,49 @@ class ReinforcementResult:
     merges: tuple[MergeDescriptor, ...] = ()
 
 
-def canonicalize_merge(h: Hypergraph, old: Partition, new: Partition, trigger: int,
-                       x: Sequence[Fraction], threshold: Fraction,
-                       bounds: Sequence[Fraction]) -> MergeDescriptor | None:
-    """Rewrite a subproblem optimum into at most one merge of old blocks.
-
-    First, any old block crossing several new blocks forces those new
-    blocks to merge (the rewritten partition is then a coarsening of the
-    old one).  Second, every merged group not spanned by the triggering
-    edge splits back into its old blocks.  Both rewrites preserve the
-    subproblem value; at most one merged group can survive, because the
-    triggering edge spans at most one.  Returns None when the result is
-    the old partition itself, else the merge with the multiplicity that
-    makes the edges inside it sum to threshold * (group size - 1).
-    """
-    if old.n != h.n or new.n != h.n:
-        raise ValueError("partition vertex count mismatch")
-    # union-find over new blocks, linked through old blocks that cross them
-    parent = list(range(len(new.blocks)))
-
-    def find(a: int) -> int:
-        while parent[a] != a:
-            parent[a] = parent[parent[a]]
-            a = parent[a]
-        return a
-
-    for ob in old.blocks:
-        hit = sorted({find(new.block_index(v)) for v in ob})
-        for other in hit[1:]:
-            parent[find(other)] = find(hit[0])
-    groups: dict[int, set[int]] = {}
-    for i, ob in enumerate(old.blocks):
-        groups.setdefault(find(new.block_index(ob[0])), set()).add(i)
-    span = set(h.edges[trigger].vertices)
-    surviving: list[set[int]] = []
-    for members in groups.values():
-        if len(members) < 2:
-            continue
-        union_verts = {v for i in members for v in old.blocks[i]}
-        if span <= union_verts:
-            surviving.append(members)
-    assert len(surviving) <= 1, "triggering edge spans more than one merged group"
-    if not surviving:
-        return None
-    members = surviving[0]
-    merged = frozenset(v for i in members for v in old.blocks[i])
-    inner_blocks = [old.blocks[i] for i in sorted(members)]
-    crossing = h.cross_edges(None, inner_blocks)
-    assert trigger in crossing, "triggering edge does not cross the merged blocks"
-    lam = threshold * (len(members) - 1) - sum(
-        (x[e] for e in crossing if e != trigger), Fraction(0)
-    )
-    assert 0 <= lam <= bounds[trigger], "merge deficit outside the edge bound"
-    return MergeDescriptor(block_indices=frozenset(members), merged=merged, value=lam)
-
-
-def _subproblem(h: Hypergraph, tight: Sequence[int], bounds: Sequence[Fraction],
-                threshold: Fraction, current: Partition, trigger: int) -> tuple[Fraction, Partition]:
+def _subproblem(h: Hypergraph, held: Iterable[int], bounds: Sequence[Fraction],
+                threshold: Fraction, current: Partition, trigger: int) -> tuple[Fraction, frozenset[int]]:
     """Minimize bounds(crossing tight edges) - threshold * (|P| - 1) once `trigger` is tight.
 
-    The current partition attained the minimum before the trigger became
-    tight, and admitting it raises every partition it crosses by the same
-    bound.  So the new optimum is the current partition or the current
-    one with one group S of blocks merged, S holding the blocks the
-    trigger meets, which changes the value by
-    delta(S) = threshold * (|S| - 1) - bounds(tight edges inside S).
+    `held` is the tight edges crossing the current partition, the
+    trigger among them.  The current partition attained the minimum
+    before the trigger became tight, and admitting it raises every
+    partition it crosses by the same bound.  So the new optimum is the
+    current partition or the current one with one group S of blocks
+    merged, S holding the blocks the trigger meets, which changes the
+    value by delta(S) = threshold * (|S| - 1) - bounds(tight edges inside S).
     One cut minimizes delta.  On the quotient each block is a vertex
     charged threshold, except that the trigger's blocks contract into the
-    forced vertex 0, charged threshold for all but one of them; each
-    crossing tight edge maps to its block image, a loop at 0 when it lies
-    within the trigger's blocks.  Then charge(W) - bounds(E[W]) is delta
-    of the blocks W stands for.
-    A minimum of zero or less merges the cut's witness, the
-    inclusion-maximal minimizer.  At a new optimum of zero that is every
-    block, so reinforcement ends on the one-block partition.
+    forced vertex 0, charged threshold for all but one of them; each held
+    edge maps to its block image, a loop at 0 when it lies within the
+    trigger's blocks.  Then charge(W) - bounds(E[W]) is delta of the
+    blocks W stands for.
+    Returns the new minimum and the group to merge: the indices of the
+    blocks in the cut's witness, the inclusion-maximal minimizer, when
+    the cut's value is zero or less, else the empty set.  At a new
+    optimum of zero the group is every block, so reinforcement ends on
+    the one-block partition.
     """
-    blocks = current.blocks
-    trigger_blocks = {current.block_index(v) for v in h.edges[trigger].vertices}
-    others = [i for i in range(len(blocks)) if i not in trigger_blocks]
-    qid = [0] * len(blocks)
+    nblocks = len(current.blocks)
+    label = current._label
+    trigger_blocks = {label[v] for v in h.edges[trigger].vertices}
+    others = [i for i in range(nblocks) if i not in trigger_blocks]
+    qid = [0] * nblocks
     for q, i in enumerate(others, 1):
         qid[i] = q
     images: list[list[int]] = []
     weights: list[Fraction] = []
-    for e in tight:
-        img = {current.block_index(v) for v in h.edges[e].vertices}
-        if len(img) >= 2:
-            images.append(sorted({qid[i] for i in img}))
-            weights.append(bounds[e])
+    for e in held:
+        images.append(sorted({qid[label[v]] for v in h.edges[e].vertices}))
+        weights.append(bounds[e])
     charges = [threshold * (len(trigger_blocks) - 1)] + [threshold] * len(others)
     g = build_supermodular_gadget(Hypergraph(len(charges), images), EdgeVector(weights),
                                   charges, forced=0)
     cut = interpret_gadget_cut(g, min_st_cut(g.network))
-    value = g.x.total() - threshold * (len(blocks) - 1)
+    value = g.x.total() - threshold * (nblocks - 1)
     if cut.value > 0:
-        return value, current
-    merged = tuple(v for i, b in enumerate(blocks) if qid[i] in cut.witness for v in b)
-    rest = tuple(b for i, b in enumerate(blocks) if qid[i] not in cut.witness)
-    return value + cut.value, Partition(h.n, (merged, *rest))
+        return value, frozenset()
+    return value + cut.value, frozenset(i for i in range(nblocks) if qid[i] in cut.witness)
 
 
 def _partition_value(h: Hypergraph, tight: Iterable[int], bounds: Sequence[int],
@@ -205,8 +152,8 @@ def reinforce(h: Hypergraph, tree_count: int, costs: EdgeVector,
     costs.require_nonnegative("costs")
     k = Fraction(tree_count)
     if bounds is None:
-        ub = [k * max(h.n - 1, 1)] * h.m
-        ubi, bscale = [tree_count * max(h.n - 1, 1)] * h.m, 1
+        ub = [k * (h.n - 1)] * h.m
+        ubi, bscale = [tree_count * (h.n - 1)] * h.m, 1
     else:
         bounds.require_length(h.m, "bounds")
         bounds.require_nonnegative("bounds")
@@ -222,12 +169,11 @@ def reinforce(h: Hypergraph, tree_count: int, costs: EdgeVector,
 
     # the loop runs on integers: reduced costs and duals over the costs'
     # common denominator cscale, multiplicities over the bounds' bscale,
-    # with kb = k * bscale; x keeps the Fractions canonicalize_merge reads
+    # with kb = k * bscale
     cnums, cscale = costs._integers()
     reduced = list(cnums)
     bdual = [0] * h.m
     gammas: dict[Partition, int] = {}
-    x: list[Fraction] = [Fraction(0)] * h.m
     xi = [0] * h.m
     kb = tree_count * bscale
     tight: list[int] = []
@@ -269,37 +215,35 @@ def reinforce(h: Hypergraph, tree_count: int, costs: EdgeVector,
         candidates.remove(trigger)
         held.add(trigger)
 
-        value, optimum = _subproblem(h, tight, ub, k, current, trigger)
+        value, group = _subproblem(h, held, ub, k, current, trigger)
         scaled = value * bscale
         assert scaled.denominator == 1, "subproblem value off the bounds' denominator"
         value = scaled.numerator
         assert value <= 0
-        assert value < 0 or optimum == Partition.whole(h.n), \
-            "zero-value optimum is not the one-block partition"
-        assert _partition_value(h, tight, ubi, kb, optimum) == value, \
-            "lifted optimum does not attain the subproblem value"
-        desc = canonicalize_merge(h, current, optimum, trigger, x, k, ub)
-        if desc is None:
-            assert _partition_value(h, tight, ubi, kb, current) == value, \
-                "canonical identity step lost optimality"
-            x[trigger], xi[trigger] = ub[trigger], ubi[trigger]
-        else:
-            lam = desc.value * bscale
-            assert lam.denominator == 1, "merge deficit off the bounds' denominator"
-            x[trigger], xi[trigger] = desc.value, lam.numerator
-            merges.append(desc)
-            merged_partition = Partition(h.n, tuple(
-                [tuple(sorted(desc.merged))]
-                + [b for i, b in enumerate(current.blocks) if i not in desc.block_indices]
-            ))
-            assert _partition_value(h, tight, ubi, kb, merged_partition) == value, \
-                "canonical merge step lost optimality"
-            inside = h.induced_edges(None, desc.merged)
-            assert sum([xi[e] for e in inside]) == kb * (len(desc.merged) - 1), \
+        if group:
+            blocks = current.blocks
+            merged = frozenset(v for i in group for v in blocks[i])
+            inside = h.induced_edges(None, merged)
+            assert trigger in inside, "triggering edge does not lie inside the merged block"
+            # the trigger takes what the tight edges between the group's
+            # blocks lack of k * (|group| - 1)
+            lam = kb * (len(group) - 1) - sum([xi[e] for e in held & inside if e != trigger])
+            assert 0 <= lam <= ubi[trigger], "merge deficit outside the edge bound"
+            xi[trigger] = lam
+            merges.append(MergeDescriptor(block_indices=group, merged=merged,
+                                          value=Fraction(lam, bscale)))
+            assert sum([xi[e] for e in inside]) == kb * (len(merged) - 1), \
                 "merged block misses its exact requirement"
             candidates -= inside
             held -= inside
-            current = merged_partition
+            current = Partition(h.n, (tuple(sorted(merged)),
+                                      *[b for i, b in enumerate(blocks) if i not in group]))
+        else:
+            xi[trigger] = ubi[trigger]
+        assert value < 0 or current == Partition.whole(h.n), \
+            "zero-value optimum is not the one-block partition"
+        assert _partition_value(h, tight, ubi, kb, current) == value, \
+            "new partition misses the subproblem value"
         if value == 0:
             break
         # loop invariants: dual feasibility, and partially used edges
@@ -329,7 +273,8 @@ def reinforce(h: Hypergraph, tree_count: int, costs: EdgeVector,
         if xi[e] > 0:
             assert reduced[e] == 0, "used edge with positive reduced cost"
         assert 0 <= xi[e] <= ubi[e]
-    if tree_count >= 0 and (bounds is None or bounds.is_integral()):
+    x = [Fraction(xe, bscale) for xe in xi]
+    if bounds is None or bounds.is_integral():
         assert all(v.denominator == 1 for v in x), "integral data, fractional optimum"
     return ReinforcementResult(status="optimal", x=EdgeVector(x),
                                cost=Fraction(cost, cscale * bscale),

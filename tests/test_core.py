@@ -283,6 +283,46 @@ SAMPLE = """\
 """
 
 
+_BAD_VERTICES = ["-1", "4", "x", "0x1", "1/0", "|", "0 | 1 | 2"]
+_BAD_COLUMNS = ["1/0", "nan", "inf", "x", "|", "", "1 2 3 4"]
+_GOOD_COLUMNS = ["0", "2", "-1", "0.5", "3/2", "-2/3", "1e3", "+7", "007"]
+
+
+@st.composite
+def parser_documents(draw):
+    """A document in the edge format that goes wrong here and there: each
+    piece (header, line count, vertex id, column count, column token) is
+    replaced now and then by a token such as |, 1/0, nan, -1 or 0.5."""
+    def bad(bad_tokens, good):
+        return draw(st.sampled_from(bad_tokens)) if draw(st.integers(0, 15)) == 0 else good
+    n, m = draw(st.integers(1, 4)), draw(st.integers(0, 4))
+    header = bad(["", f"{n}", f"{n} {m} 1", f"{n} x", f"-1 {m}", f"{n} -1"], f"{n} {m}")
+    ncols = draw(st.integers(0, 3))
+    lines = []
+    for _ in range(m + bad([-1, 1], 0)):
+        verts = draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=n))
+        vtokens = [bad(_BAD_VERTICES, str(v)) for v in verts]
+        width = bad([0, 1, 2, 3, 4], ncols)
+        ctokens = [bad(_BAD_COLUMNS, draw(st.sampled_from(_GOOD_COLUMNS))) for _ in range(width)]
+        lines.append(" ".join(vtokens + (["|"] if ctokens else []) + ctokens))
+    lines += draw(st.lists(st.sampled_from(["", "# note"]), max_size=2))
+    return "\n".join([header, *lines]) + draw(st.sampled_from(["", "\n"]))
+
+
+class TestParseFuzz:
+    @settings(max_examples=500, deadline=None)
+    @given(parser_documents(), st.booleans())
+    def test_only_format_errors_and_exact_roundtrip(self, text, strict):
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            try:
+                h, cols = parse_hypergraph(text, strict=strict)
+            except HypergraphFormatError:
+                # DuplicateVertexInEdge is one of these
+                return
+        assert parse_hypergraph(serialize_hypergraph(h, cols)) == (h, cols)
+
+
 class TestParse:
     def test_parses_edges_and_columns(self):
         h, cols = parse_hypergraph(SAMPLE)

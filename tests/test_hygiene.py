@@ -60,3 +60,18 @@ def test_readme_lists_every_subcommand():
     (subparsers,) = [a for a in _build_parser()._actions
                      if isinstance(a, argparse._SubParsersAction)]
     assert documented == list(subparsers.choices)
+
+
+def test_readme_lower_level_names_are_exported():
+    readme = (PACKAGE.parents[1] / "README.md").read_text(encoding="utf-8")
+    paragraph = readme.split("Lower-level pieces are exported too", 1)[1].split("\n\n", 1)[0]
+    names = re.findall(r"`([\w.]+)`", paragraph)
+    assert names
+    # a dotted name is an attribute of an exported class
+    missing = [name for name in names if name.split(".")[0] not in hypermat.__all__]
+    assert missing == []
+    for name in names:
+        head, *rest = name.split(".")
+        obj = getattr(hypermat, head)
+        for attr in rest:
+            obj = getattr(obj, attr)

@@ -10,7 +10,6 @@ from hypermat import (
     EdgeVector,
     Hypergraph,
     Partition,
-    cover_demand,
     min_partition,
 )
 from hypermat.brute import brute_min_partition
@@ -21,27 +20,6 @@ from helpers import random_hypergraph, random_weights
 def crossing_value(h, weights, partition, threshold, edge_ids=None):
     return weights.sum_over(h.cross_edges(edge_ids, partition)) \
         - threshold * (len(partition.blocks) - 1)
-
-
-class TestCoverDemand:
-    def test_inside_edges_counted(self, h0):
-        x = EdgeVector.of([1, "1/2"])
-        assert cover_demand([0, 1, 2], h0, x, Fraction(1), root=0) == Fraction(3, 2)
-        assert cover_demand([0, 1], h0, x, Fraction(1), root=0) == 0
-
-    def test_root_credit(self, h0):
-        x = EdgeVector.of([1, "1/2"])
-        assert cover_demand([1, 2], h0, x, Fraction(1), root=0) == 1
-        assert cover_demand([1], h0, x, Fraction(2), root=0) == 2
-
-    def test_empty_rejected(self, h0):
-        with pytest.raises(ValueError):
-            cover_demand([], h0, EdgeVector.ones(2), Fraction(1), root=0)
-
-    def test_edge_subset(self, h0):
-        x = EdgeVector.of([1, "1/2"])
-        assert cover_demand([0, 1, 2], h0, x, Fraction(1), root=0, edge_ids=[1]) \
-            == Fraction(1, 2)
 
 
 class TestMinPartition:

@@ -10,7 +10,6 @@ from hypermat import (
     EdgeVector,
     Hypergraph,
     Partition,
-    canonicalize_merge,
     min_partition,
     reinforce,
     reinforcement,
@@ -157,29 +156,50 @@ def _no_oracle(*args, **kwargs):
     raise AssertionError("the partition oracle ran")
 
 
+def check_merge_trace(h, k, res):
+    """The merges of an optimal run: each fuses two or more blocks into a
+    block whose inside edges meet k * (|block| - 1) exactly in the final x,
+    the merged blocks are laminar, and the last one is every vertex."""
+    merged = [desc.merged for desc in res.merges]
+    for desc in res.merges:
+        assert len(desc.block_indices) >= 2
+        assert res.x.sum_over(h.induced_edges(None, desc.merged)) == k * (len(desc.merged) - 1)
+    for a in merged:
+        for b in merged:
+            assert a <= b or b <= a or not a & b, "merged blocks are not laminar"
+    if h.n >= 2 and k > 0:
+        assert merged[-1] == frozenset(range(h.n))
+
+
 class TestOneCutSubproblem:
     def test_matches_the_partition_oracle(self, monkeypatch):
         # each round's single cut against the full oracle on the same quotient
         one_cut = reinforcement._subproblem
         rounds = 0
 
-        def checked(h, tight, bounds, threshold, current, trigger):
+        def checked(h, held, bounds, threshold, current, trigger):
             nonlocal rounds
             rounds += 1
-            value, optimum = one_cut(h, tight, bounds, threshold, current, trigger)
-            images, weights = [], []
-            for e in tight:
-                img = sorted({current.block_index(v) for v in h.edges[e].vertices})
-                if len(img) >= 2:
-                    images.append(img)
-                    weights.append(bounds[e])
+            held = sorted(held)
+            value, group = one_cut(h, held, bounds, threshold, current, trigger)
+            images = [sorted({current.block_index(v) for v in h.edges[e].vertices})
+                      for e in held]
+            assert all(len(img) >= 2 for img in images), "a held edge does not cross"
             quotient = Hypergraph(len(current.blocks), images)
-            assert value == min_partition(quotient, EdgeVector(weights), threshold).value
-            crossing = h.cross_edges(tight, optimum)
-            attained = sum((bounds[e] for e in crossing), Fraction(0)) \
+            weights = EdgeVector([bounds[e] for e in held])
+            assert value == min_partition(quotient, weights, threshold).value
+            # the partition the group stands for attains the value
+            blocks = current.blocks
+            optimum = Partition(h.n, (
+                *[b for i, b in enumerate(blocks) if i not in group],
+                *([tuple(v for i in group for v in blocks[i])] if group else [])))
+            if group:
+                assert len(group) >= 2
+                assert {current.block_index(v) for v in h.edges[trigger].vertices} <= group
+            attained = sum((bounds[e] for e in h.cross_edges(held, optimum)), Fraction(0)) \
                 - threshold * (len(optimum.blocks) - 1)
-            assert attained == value, "returned partition misses the value"
-            return value, optimum
+            assert attained == value, "the merged group misses the value"
+            return value, group
 
         monkeypatch.setattr(reinforcement, "_subproblem", checked)
         statuses = set()
@@ -205,45 +225,14 @@ class TestOneCutSubproblem:
             # every round admits one edge and solves one cut
             assert solves - before == len(res.dual.tight_edges)
 
-
-class TestCanonicalizeMerge:
-    def test_simple_merge(self):
-        h = Hypergraph(4, [[0, 1], [2, 3], [0, 2]])
-        desc = canonicalize_merge(
-            h, Partition.singletons(4), Partition(4, ((0, 1), (2, 3))),
-            trigger=0, x=[Fraction(0)] * 3, threshold=Fraction(2),
-            bounds=[Fraction(5)] * 3)
-        assert desc is not None
-        assert desc.merged == frozenset({0, 1})
-        assert desc.block_indices == frozenset({0, 1})
-        assert desc.value == 2
-
-    def test_unspanned_group_splits_back(self):
-        h = Hypergraph(4, [[0, 1], [2, 3], [0, 2]])
-        desc = canonicalize_merge(
-            h, Partition.singletons(4), Partition(4, ((0,), (1,), (2, 3))),
-            trigger=0, x=[Fraction(0)] * 3, threshold=Fraction(1),
-            bounds=[Fraction(5)] * 3)
-        assert desc is None
-
-    def test_crossing_old_block_links_new_blocks(self):
-        h = Hypergraph(4, [[0, 1], [0, 2], [1, 3], [2, 3]])
-        old = Partition(4, ((0, 1), (2,), (3,)))
-        new = Partition(4, ((0, 2), (1, 3)))
-        x = [Fraction(0), Fraction(0), Fraction(1, 2), Fraction(1, 2)]
-        desc = canonicalize_merge(h, old, new, trigger=1, x=x,
-                                  threshold=Fraction(1), bounds=[Fraction(2)] * 4)
-        assert desc is not None
-        assert desc.merged == frozenset({0, 1, 2, 3})
-        assert desc.block_indices == frozenset({0, 1, 2})
-        # k * (3 - 1) minus the half-unit already on the two other edges
-        assert desc.value == 1
-
-    def test_mismatched_vertex_count(self, h0):
-        with pytest.raises(ValueError):
-            canonicalize_merge(h0, Partition.singletons(3), Partition.whole(4),
-                               trigger=0, x=[Fraction(0)] * 2,
-                               threshold=Fraction(1), bounds=[Fraction(1)] * 2)
+    def test_merge_trace(self):
+        optimal = 0
+        for h, k, costs, bounds in _instances(0x1C07, 150):
+            res = reinforce(h, k, costs, bounds)
+            if res.status == "optimal":
+                optimal += 1
+                check_merge_trace(h, k, res)
+        assert optimal > 50
 
 
 @st.composite
@@ -283,6 +272,7 @@ class TestAgainstBruteProperty:
         if status == "optimal":
             assert res.cost == cost / d
             verify_optimal(h, k, costs, None if bounds is None else list(bounds), res)
+            check_merge_trace(h, k, res)
 
 
 def _fraction_outputs(res):
