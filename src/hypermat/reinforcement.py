@@ -16,9 +16,9 @@ subproblem optimum is then either the current partition or the current
 one with a single group of blocks merged, a group holding every block
 the admitted edge meets, so one min cut of the supermodular gadget on
 the quotient by the current partition finds it.  The blocks in the
-cut's witness fuse, and the just-admitted edge takes the merge's
-deficit: what the tight edges between those blocks lack of
-k * (blocks - 1).  Without a merge the edge enters at its bound.
+cut's witness fuse (`canonicalize_merge`), and the just-admitted edge
+takes the merge's deficit: what the tight edges between those blocks
+lack of k * (blocks - 1).  Without a merge the edge enters at its bound.
 The subproblem minimum reaching zero certifies primal feasibility;
 running out of crossing edges proves infeasibility with the current
 partition as the certificate.  Every dual update keeps feasibility and
@@ -128,6 +128,27 @@ def _subproblem(h: Hypergraph, held: Iterable[int], bounds: Sequence[Fraction],
     return value + cut.value, frozenset(i for i in range(nblocks) if qid[i] in cut.witness)
 
 
+def canonicalize_merge(h: Hypergraph, current: Partition, group: frozenset[int], trigger: int,
+                       held: set[int], x: Sequence[int],
+                       threshold: int) -> tuple[Partition, frozenset[int], frozenset[int], int]:
+    """The merge step of a reinforcement round: fuse the blocks in `group`.
+
+    `group` holds the indices of the blocks of `current` in the round's
+    cut witness, as `_subproblem` returns them; `held` is the tight edges
+    crossing `current`, the trigger among them.  Returns the new
+    partition, the fused vertex set, the edges inside it, and the deficit
+    the trigger takes: what the other held edges inside lack of
+    threshold * (|group| - 1).  Multiplicities x and the threshold are
+    integers over one denominator.
+    """
+    blocks = current.blocks
+    merged = frozenset(v for i in group for v in blocks[i])
+    inside = h.induced_edges(None, merged)
+    lam = threshold * (len(group) - 1) - sum([x[e] for e in held & inside if e != trigger])
+    new = Partition(h.n, (tuple(sorted(merged)), *[b for i, b in enumerate(blocks) if i not in group]))
+    return new, merged, inside, lam
+
+
 def _partition_value(h: Hypergraph, tight: Iterable[int], bounds: Sequence[int],
                      threshold: int, p: Partition) -> int:
     crossing = h.cross_edges(list(tight), p)
@@ -221,13 +242,9 @@ def reinforce(h: Hypergraph, tree_count: int, costs: EdgeVector,
         value = scaled.numerator
         assert value <= 0
         if group:
-            blocks = current.blocks
-            merged = frozenset(v for i in group for v in blocks[i])
-            inside = h.induced_edges(None, merged)
+            merged_partition, merged, inside, lam = canonicalize_merge(
+                h, current, group, trigger, held, xi, kb)
             assert trigger in inside, "triggering edge does not lie inside the merged block"
-            # the trigger takes what the tight edges between the group's
-            # blocks lack of k * (|group| - 1)
-            lam = kb * (len(group) - 1) - sum([xi[e] for e in held & inside if e != trigger])
             assert 0 <= lam <= ubi[trigger], "merge deficit outside the edge bound"
             xi[trigger] = lam
             merges.append(MergeDescriptor(block_indices=group, merged=merged,
@@ -236,8 +253,7 @@ def reinforce(h: Hypergraph, tree_count: int, costs: EdgeVector,
                 "merged block misses its exact requirement"
             candidates -= inside
             held -= inside
-            current = Partition(h.n, (tuple(sorted(merged)),
-                                      *[b for i, b in enumerate(blocks) if i not in group]))
+            current = merged_partition
         else:
             xi[trigger] = ubi[trigger]
         assert value < 0 or current == Partition.whole(h.n), \

@@ -235,6 +235,32 @@ class TestOneCutSubproblem:
         assert optimal > 50
 
 
+class TestCanonicalizeMerge:
+    def test_simple_merge(self):
+        h = Hypergraph(4, [[0, 1], [2, 3], [0, 2]])
+        new, merged, inside, lam = reinforcement.canonicalize_merge(
+            h, Partition.singletons(4), frozenset({0, 1}), trigger=0, held={0, 1, 2},
+            x=[0, 0, 0], threshold=2)
+        assert new == Partition(4, ((0, 1), (2,), (3,)))
+        assert merged == frozenset({0, 1})
+        assert inside == frozenset({0})
+        assert lam == 2
+
+    def test_deficit_counts_held_edges_inside(self):
+        # three blocks fuse; the half-units (one unit over denominator 2) on
+        # the held edges 2 and 3 count against 1 * (3 - 1), edge 0 is no held
+        # edge and edge 4 sticks out of the fused block
+        h = Hypergraph(5, [[0, 1], [0, 2], [1, 3], [2, 3], [3, 4]])
+        current = Partition(5, ((0, 1), (2,), (3,), (4,)))
+        new, merged, inside, lam = reinforcement.canonicalize_merge(
+            h, current, frozenset({0, 1, 2}), trigger=1, held={1, 2, 3, 4},
+            x=[5, 0, 1, 1, 2], threshold=2)
+        assert new == Partition(5, ((0, 1, 2, 3), (4,)))
+        assert merged == frozenset({0, 1, 2, 3})
+        assert inside == frozenset({0, 1, 2, 3})
+        assert lam == 2
+
+
 @st.composite
 def reinforce_instances(draw):
     """n <= 5, m <= 4, k 0-2; costs over mixed denominators; bounds absent
