@@ -2,10 +2,12 @@
 
 The package solves rank, independence, polytope separation, partition
 inequality separation, strength, fractional arboricity, and network
-reinforcement on hypergraphs, each reduced to a short sequence of
-minimum-cut problems on small auxiliary digraphs.  All arithmetic is
-exact (fractions.Fraction); every public routine returns certificates
-that are re-checked internally before being handed out.
+reinforcement on hypergraphs.  Rank, independence and the greedy forest
+run on a bipartite matching of edges to vertices; the rest reduce to a
+short sequence of minimum-cut problems on small auxiliary digraphs.
+All arithmetic is exact (fractions.Fraction); every public routine
+returns certificates that are re-checked internally before being
+handed out.
 """
 
 from .core import (
@@ -32,11 +34,9 @@ from .mincut import (
 from .gadgets import (
     GadgetCutInterpretation,
     GadgetGraph,
-    build_independence_gadget,
     build_supermodular_gadget,
     forced_sweep,
     interpret_gadget_cut,
-    interpret_independence_cut,
 )
 from .partition_oracle import (
     PartitionOracleResult,
@@ -92,13 +92,11 @@ __all__ = [
     "StrengthResult",
     "arboricity",
     "as_fraction",
-    "build_independence_gadget",
     "build_supermodular_gadget",
     "forced_sweep",
     "format_rational",
     "independence_test_incremental",
     "interpret_gadget_cut",
-    "interpret_independence_cut",
     "is_independent",
     "max_weight_hyperforest",
     "min_partition",

@@ -1,9 +1,9 @@
-"""Builders for the auxiliary cut networks behind every reduction.
+"""Builders for the auxiliary cut networks behind every cut reduction.
 
-Polytope separation, the partition oracle (and through it rank and
-strength), each round of reinforcement and arboricity all minimize one
-set function by min cut: charge(W) - x(E[W]) over vertex sets W, or
-over those holding a forced vertex.  Its one builder is the selection
+Polytope separation, the partition oracle (and through it strength),
+each round of reinforcement and arboricity all minimize one set
+function by min cut: charge(W) - x(E[W]) over vertex sets W, or over
+those holding a forced vertex.  Its one builder is the selection
 network of Rhys (Management Science 17(3), 1970) and Picard and
 Queyranne (INFOR 20, 1982): each selected hyperedge e becomes one node,
 fed by every vertex of e through an infinite arc and escaping to the
@@ -19,8 +19,8 @@ Charges come in and go out as Fractions.  The builder also keeps them
 as integers over their common denominator, so reading a cut back sums
 charge(W) in integers and makes one Fraction of it.
 
-The independence gadget is a network of its own: unit arcs meter how
-many distinct vertices a sub-family of edges can be charged to.
+Rank, independence and the greedy forest need no network: `matroid`
+answers them by bipartite matching of edges to vertices.
 """
 
 from __future__ import annotations
@@ -53,8 +53,8 @@ class GadgetGraph:
     solve reports, is the inclusion-maximal minimizer of that function:
     a minimizer W gives a minimum cut whose source side is the vertices
     off W and the nodes of the edges leaving W, so the smallest source
-    side has the largest W.  Rank, strength, arboricity and
-    reinforcement break their ties by that rule.
+    side has the largest W.  Strength, arboricity and reinforcement
+    break their ties by that rule.
     """
 
     network: FlowNetwork
@@ -67,20 +67,6 @@ class GadgetGraph:
     charge_scale: int
     offset: Fraction
     forced: int | None
-
-
-@dataclass(frozen=True)
-class IndependenceGadget:
-    """The independence test network of a family with one distinguished edge.
-
-    edge_nodes and vertex_nodes map edge and vertex ids to their nodes.
-    """
-
-    network: FlowNetwork
-    vertex_nodes: dict[int, int]
-    edge_nodes: dict[int, int]
-    edges: tuple[Hyperedge, ...]
-    distinguished: int
 
 
 @dataclass(frozen=True)
@@ -169,37 +155,6 @@ def _supermodular_gadget(h: Hypergraph, x: EdgeVector, charges: Sequence[Fractio
         x=x, charges=tuple(ch), charge_nums=nums, charge_scale=scale, offset=offset,
         forced=forced,
     )
-
-
-def build_independence_gadget(edges: Sequence[Hyperedge], distinguished: int) -> IndependenceGadget:
-    """Cut network testing whether a family stays independent with one more edge.
-
-    The family is the given edges; `distinguished` is the id of the
-    member under test (its source arc is infinite, the others carry 1).
-    Each edge feeds its vertices through infinite arcs and each vertex
-    of the union escapes to the sink for 1.  The minimum cut capacity
-    minus the family size equals the smallest value of |union(F)| - |F|
-    over sub-families F containing the distinguished edge.
-    """
-    ids = [e.id for e in edges]
-    if len(set(ids)) != len(ids):
-        raise ValueError("duplicate edge ids in family")
-    if distinguished not in ids:
-        raise ValueError("distinguished edge not in family")
-    union = sorted({v for e in edges for v in e.vertices})
-    vnode = {v: 2 + len(edges) + i for i, v in enumerate(union)}
-    enode = {e.id: 2 + j for j, e in enumerate(edges)}
-    arcs: list[tuple[int, int, Cap]] = []
-    for e in edges:
-        arcs.append((0, enode[e.id], INF if e.id == distinguished else Fraction(1)))
-    for e in edges:
-        for u in e.vertices:
-            arcs.append((enode[e.id], vnode[u], INF))
-    for v in union:
-        arcs.append((vnode[v], 1, Fraction(1)))
-    net = FlowNetwork(2 + len(edges) + len(union), tuple(arcs), 0, 1)
-    return IndependenceGadget(network=net, vertex_nodes=vnode, edge_nodes=enode,
-                              edges=tuple(edges), distinguished=distinguished)
 
 
 def interpret_gadget_cut(g: GadgetGraph, cut: CutResult) -> GadgetCutInterpretation:
@@ -305,22 +260,3 @@ def forced_sweep(g: GadgetGraph) -> Iterator[GadgetCutInterpretation]:
         engine.force(v)
         cut, _ = engine.solve()
         yield interpret_gadget_cut(replace(g, forced=v), cut)
-
-
-def interpret_independence_cut(g: IndependenceGadget, cut: CutResult) -> tuple[int, frozenset[int]]:
-    """Read an independence gadget cut: (deficiency, chosen sub-family).
-
-    The deficiency is |union(F)| - |F| minimized over sub-families F
-    containing the distinguished edge; the family testing positive for
-    independence is exactly deficiency >= 1.
-    """
-    side = cut.source_side
-    family = frozenset(e for e, node in g.edge_nodes.items() if node in side)
-    assert g.distinguished in family, "distinguished edge escaped the source side"
-    chosen_union = {v for e in g.edges if e.id in family for v in e.vertices}
-    source_vertices = {v for v, node in g.vertex_nodes.items() if node in side}
-    assert source_vertices == chosen_union, "metered vertices differ from the family union"
-    value = cut.capacity - len(g.edges)
-    assert value.denominator == 1, "independence deficiency must be integral"
-    assert value == len(chosen_union) - len(family), "deficiency identity failed"
-    return int(value), family

@@ -9,11 +9,9 @@ from hypermat import (
     INF,
     EdgeVector,
     Hypergraph,
-    build_independence_gadget,
     build_supermodular_gadget,
     forced_sweep,
     interpret_gadget_cut,
-    interpret_independence_cut,
     min_st_cut,
 )
 from hypermat.gadgets import GadgetEngine, build_arboricity_gadget
@@ -272,43 +270,3 @@ class TestArboricityGadget:
         assert g == build_supermodular_gadget(k4, EdgeVector.ones(k4.m), [density] * k4.n,
                                               forced=forced)
 
-
-class TestIndependenceGadget:
-    def test_two_triples_are_independent(self, h0):
-        g = build_independence_gadget(h0.edges, distinguished=1)
-        deficiency, family = interpret_independence_cut(g, min_st_cut(g.network))
-        assert deficiency == 1
-        assert family == frozenset({0, 1})
-
-    def test_third_parallel_triple_is_dependent(self):
-        h = Hypergraph(3, [[0, 1, 2]] * 3)
-        g = build_independence_gadget(h.edges, distinguished=2)
-        deficiency, family = interpret_independence_cut(g, min_st_cut(g.network))
-        assert deficiency == 0
-        assert len(family) == 3
-
-    def test_triangle_closes_a_cycle(self, k3):
-        g = build_independence_gadget(k3.edges, distinguished=2)
-        deficiency, family = interpret_independence_cut(g, min_st_cut(g.network))
-        assert deficiency == 0
-        assert family == frozenset({0, 1, 2})
-
-    def test_tree_edge_keeps_slack(self):
-        h = Hypergraph(4, [[0, 1], [1, 2], [2, 3]])
-        g = build_independence_gadget(h.edges, distinguished=2)
-        deficiency, _ = interpret_independence_cut(g, min_st_cut(g.network))
-        assert deficiency >= 1
-
-    def test_deficiency_matches_enumeration(self, h1):
-        edges = h1.edges
-        for distinguished in range(len(edges)):
-            g = build_independence_gadget(edges, distinguished)
-            deficiency, _ = interpret_independence_cut(g, min_st_cut(g.network))
-            best = min(
-                len({v for e in fam for v in edges[e].vertices}) - len(fam)
-                for r in range(len(edges))
-                for fam in (set(c) | {distinguished}
-                            for c in itertools.combinations(
-                                [e for e in range(len(edges)) if e != distinguished], r))
-            )
-            assert deficiency == best

@@ -3,9 +3,12 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hypermat import (
     BoundViolation,
+    CutEngine,
     EdgeVector,
     Hypergraph,
     InPolytope,
@@ -14,6 +17,7 @@ from hypermat import (
     independence_test_incremental,
     is_independent,
     max_weight_hyperforest,
+    min_partition,
     rank,
     separate_polytope,
 )
@@ -23,12 +27,43 @@ from hypermat.brute import (
     brute_rank,
     brute_separate,
 )
+from hypermat.matroid import _Matching
 
 from helpers import random_hypergraph, random_point, random_weights
 
 
 def _no_cut(*args, **kwargs):
-    raise AssertionError("the partition oracle ran")
+    raise AssertionError("a min cut ran")
+
+
+def _no_search(*args, **kwargs):
+    raise AssertionError("an augmenting-path search ran")
+
+
+def mixed_hypergraph(rng: random.Random, n: int, m: int) -> Hypergraph:
+    """Random edges of any size from 1 (loops) to n, some of them parallel copies."""
+    edges: list[list[int]] = []
+    for _ in range(m):
+        if edges and rng.random() < 0.15:
+            edges.append(list(rng.choice(edges)))
+        else:
+            edges.append(rng.sample(range(n), rng.randint(1, n)))
+    return Hypergraph(n, edges)
+
+
+@st.composite
+def matroid_instances(draw):
+    """(h, weights, edge subset) at n <= 7, with loops, parallel edges and fractional weights."""
+    n = draw(st.integers(1, 7))
+    vertex_sets = draw(st.lists(
+        st.lists(st.integers(0, n - 1), min_size=1, max_size=n, unique=True), min_size=1, max_size=6))
+    # indices into vertex_sets: a repeated index is a parallel edge
+    picks = draw(st.lists(st.integers(0, len(vertex_sets) - 1), max_size=10))
+    h = Hypergraph(n, [vertex_sets[i] for i in picks])
+    weights = draw(st.lists(st.builds(Fraction, st.integers(0, 6), st.integers(1, 3)),
+                            min_size=h.m, max_size=h.m))
+    keep = draw(st.lists(st.booleans(), min_size=h.m, max_size=h.m))
+    return h, EdgeVector.of(weights), [e for e in range(h.m) if keep[e]]
 
 
 class TestRank:
@@ -100,6 +135,13 @@ class TestIndependence:
         with pytest.raises(ValueError):
             independence_test_incremental(h0, [0, 1], 1)
 
+    def test_incremental_rejects_dependent_set(self):
+        h = Hypergraph(3, [[0, 1], [0, 1], [1, 2]])
+        with pytest.raises(ValueError, match="not independent"):
+            independence_test_incremental(h, [0, 1], 2)
+        with pytest.raises(ValueError, match="duplicate"):
+            independence_test_incremental(h, [0, 0], 2)
+
     def test_random_against_brute(self):
         rng = random.Random(0x1DE)
         for _ in range(80):
@@ -119,10 +161,104 @@ class TestIndependence:
             expected = brute_hyperforest(h)
             if h.m > n - 1:
                 with monkeypatch.context() as patched:
-                    patched.setattr("hypermat.matroid.min_partition", _no_cut)
+                    patched.setattr(_Matching, "_push", _no_search)
                     assert is_independent(h) is False
             assert is_independent(h) == expected
         assert any(sizes) and not all(sizes)
+
+
+class TestAgainstBrute:
+    @settings(max_examples=300, deadline=None)
+    @given(matroid_instances())
+    def test_matches_enumeration(self, inst):
+        h, weights, ids = inst
+        assert is_independent(h) == brute_hyperforest(h)
+        assert is_independent(h, ids) == brute_hyperforest(h, ids)
+        assert rank(h).rank == brute_rank(h)
+        assert rank(h, ids).rank == brute_rank(h, ids)
+        chosen, weight = max_weight_hyperforest(h, weights)
+        assert weight == brute_max_weight_hyperforest(h, weights)
+        assert brute_hyperforest(h, chosen) and len(chosen) == brute_rank(h)
+
+    def test_witness_is_the_oracle_partition(self):
+        # the maximal tight sets of the basis are the coarsest optimal
+        # partition, the one the partition oracle reports
+        rng = random.Random(0x3A7C)
+        for _ in range(600):
+            n = rng.randint(1, 8)
+            h = mixed_hypergraph(rng, n, rng.randint(0, 12))
+            ids = [e for e in range(h.m) if rng.random() < 0.7]
+            for sel in (None, ids):
+                oracle = min_partition(h, EdgeVector.ones(h.m), Fraction(1), sel)
+                res = rank(h, sel)
+                assert res.witness_partition == oracle.partition
+                assert res.rank == oracle.value + n - 1
+
+
+class TestNoCuts:
+    def test_answers_without_any_cut(self, monkeypatch, h1, k4):
+        crit9 = random_hypergraph(random.Random(0xC9), 30, 150, max_size=6, connected=True)
+        cases = []
+        for h in (h1, k4, crit9):
+            # a dependent subset and the first n - 1 edges (a spanning path in crit9)
+            sub = list(range(min(h.m, h.n - 1)))
+            expected = [min_partition(h, EdgeVector.ones(h.m), Fraction(1), sel)
+                        for sel in (None, sub)]
+            cases.append((h, sub, expected))
+        monkeypatch.setattr(CutEngine, "solve", _no_cut)
+        monkeypatch.setattr("hypermat.mincut.min_st_cut", _no_cut)
+        for h, sub, (whole, part) in cases:
+            assert rank(h).rank == whole.value + h.n - 1
+            assert rank(h, sub).rank == part.value + h.n - 1
+            assert rank(h, sub).witness_partition == part.partition
+            assert is_independent(h, sub) == (part.value + h.n - 1 == len(sub))
+            assert is_independent(h) == (whole.value + h.n - 1 == h.m)
+            chosen, weight = max_weight_hyperforest(h, EdgeVector.ones(h.m))
+            assert weight == len(chosen) == whole.value + h.n - 1
+
+
+class TestCertificates:
+    def test_held_vertex_outside_its_edge(self):
+        matching = _Matching(3)
+        assert matching.add((0, 1)) and matching.add((1, 2))
+        matching.certify()
+        # vertex 0 lies outside the edge {1, 2}
+        matching.held[1] = 0
+        with pytest.raises(AssertionError, match="leaves its edge"):
+            matching.certify()
+
+    def test_shared_held_vertex_closes_a_cycle(self):
+        matching = _Matching(3)
+        assert matching.add((0, 1)) and matching.add((0, 1, 2))
+        matching.certify()
+        # both edges hold the same vertex: the free vertex of {0, 1} pairs
+        # with it twice
+        matching.held[1] = matching.held[0]
+        with pytest.raises(AssertionError, match="close a cycle"):
+            matching.certify()
+
+    def test_no_free_vertex_misses_every_edge(self):
+        matching = _Matching(3)
+        assert matching.add((0, 1)) and matching.add((1, 2))
+        # a triangle forced in: each edge holds a vertex, none is free
+        matching.slots.append((0, 2))
+        matching.held[:] = [0, 1, 2]
+        with pytest.raises(AssertionError, match="missed an edge"):
+            matching.certify()
+
+    def test_forged_rejection_fails_the_hall_check(self, monkeypatch, k3):
+        def reach_only_itself(self, verts):
+            # a failed search that reached only the new slot: its two
+            # vertices outnumber the one slot
+            self.slots.append(verts)
+            self.held.append(-1)
+            return [len(self.slots) - 1]
+
+        monkeypatch.setattr(_Matching, "_push", reach_only_itself)
+        with pytest.raises(AssertionError, match="no Hall violator"):
+            max_weight_hyperforest(k3, EdgeVector.ones(3))
+        with pytest.raises(AssertionError, match="no Hall violator"):
+            is_independent(k3, [0])
 
 
 class TestMaxWeightHyperforest:
