@@ -388,6 +388,9 @@ def parse_hypergraph(text: str, strict: bool = True) -> tuple[Hypergraph, list[E
 
     edges: list[list[int]] = []
     columns: list[list[Fraction]] | None = None
+    # a file repeats few distinct values; only tokens that parsed are
+    # kept, so a bad token still raises with the line that holds it
+    parsed: dict[str, Fraction] = {}
     for idx, (lineno, line) in enumerate(body):
         if line.count("|") > 1:
             raise HypergraphFormatError(f"line {lineno}: more than one '|'")
@@ -419,10 +422,13 @@ def parse_hypergraph(text: str, strict: bool = True) -> tuple[Hypergraph, list[E
                 f"line {lineno}: expected {len(columns)} column(s), found {len(ctokens)}"
             )
         for col, tok in zip(columns, ctokens):
-            try:
-                col.append(Fraction(tok))
-            except (ValueError, ZeroDivisionError) as exc:
-                raise HypergraphFormatError(f"line {lineno}: bad rational {tok!r}") from exc
+            value = parsed.get(tok)
+            if value is None:
+                try:
+                    value = parsed[tok] = Fraction(tok)
+                except (ValueError, ZeroDivisionError) as exc:
+                    raise HypergraphFormatError(f"line {lineno}: bad rational {tok!r}") from exc
+            col.append(value)
         edges.append(verts)
 
     h = Hypergraph(n, edges)

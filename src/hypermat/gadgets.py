@@ -19,6 +19,12 @@ Charges come in and go out as Fractions.  The builder also keeps them
 as integers over their common denominator, so reading a cut back sums
 charge(W) in integers and makes one Fraction of it.
 
+Reading a cut back costs time in proportion to its source side, not to
+the gadget: a per-vertex incidence list of the selected edges gives the
+edges leaving the witness, and the witness, its edges and their sums
+are what the totals leave once the source-side terms are taken out.
+In a forced sweep the source side is often the source alone.
+
 Rank, independence and the greedy forest need no network: `matroid`
 answers them by bipartite matching of edges to vertices.
 """
@@ -26,7 +32,7 @@ answers them by bipartite matching of edges to vertices.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from typing import Iterable, Iterator, Sequence
 
@@ -41,13 +47,23 @@ class GadgetGraph:
     """A supermodular cut gadget plus the bookkeeping to read its cuts back.
 
     vertex_nodes maps vertex ids to network nodes and edge_nodes the
-    selected edge ids to theirs.  x and charges are what the gadget was
-    built with, and charge_nums are the charges as integers over
-    charge_scale, their common denominator.  offset is the term of the
-    capacity identity that no cut changes, x of the selected edges less
-    the negative charges, so a cut with witness W has capacity
+    selected edge ids to theirs: node 0 is the source, node 1 the sink,
+    vertex v is node 2 + v and the k-th selected edge node 2 + n + k.
+    x and charges are what the gadget was built with, and charge_nums
+    are the charges as integers over charge_scale, their common
+    denominator.  x_total is x summed over the selected edges.  offset
+    is the term of the capacity identity that no cut changes, x_total
+    less the negative charges, so a cut with witness W has capacity
     charge(W) - x(E[W]) + offset.
     forced is the vertex every witness must hold, or None.
+
+    incidence lists, per vertex, the ids of the selected edges holding
+    it; reading a cut back walks only the lists of its source-side
+    vertices.  The builder leaves it None, and a read-back then makes
+    the lists for itself, which costs one pass over the selected edges:
+    a network that is solved without being read back, as in the
+    partition oracle, never pays for them.  forced_sweep makes them
+    once for all of its n read-backs.
 
     The witness of the inclusion-minimal minimum cut, the one every
     solve reports, is the inclusion-maximal minimizer of that function:
@@ -65,8 +81,10 @@ class GadgetGraph:
     charges: tuple[Fraction, ...]
     charge_nums: tuple[int, ...]
     charge_scale: int
+    x_total: Fraction
     offset: Fraction
     forced: int | None
+    incidence: tuple[list[int], ...] | None = field(default=None, repr=False, compare=False)
 
 
 @dataclass(frozen=True)
@@ -152,9 +170,19 @@ def _supermodular_gadget(h: Hypergraph, x: EdgeVector, charges: Sequence[Fractio
     return GadgetGraph(
         network=FlowNetwork(2 + h.n + len(edges), tuple(arcs), 0, 1),
         vertex_nodes={v: 2 + v for v in range(h.n)}, edge_nodes=enode, edges=edges,
-        x=x, charges=tuple(ch), charge_nums=nums, charge_scale=scale, offset=offset,
-        forced=forced,
+        x=x, charges=tuple(ch), charge_nums=nums, charge_scale=scale, x_total=x_total,
+        offset=offset, forced=forced,
     )
+
+
+def _incidence(g: GadgetGraph) -> tuple[list[int], ...]:
+    """Per vertex, the ids of the selected edges holding it."""
+    inc: tuple[list[int], ...] = tuple([[] for _ in g.charges])
+    for e in g.edges:
+        i = e.id
+        for u in e.vertices:
+            inc[u].append(i)
+    return inc
 
 
 def interpret_gadget_cut(g: GadgetGraph, cut: CutResult) -> GadgetCutInterpretation:
@@ -162,37 +190,41 @@ def interpret_gadget_cut(g: GadgetGraph, cut: CutResult) -> GadgetCutInterpretat
 
     Verifies the structural facts every minimum cut of the gadget must
     satisfy: the forced vertex lands in the witness, an edge's node is
-    source-side exactly when one of its vertices is, the sink-side edges
-    are exactly those contained in the witness, and the cut capacity
-    equals charge(W) - x(E[W]) + offset.
+    source-side exactly when one of its vertices is (so the sink-side
+    edges are exactly those contained in the witness), and the cut
+    capacity equals charge(W) - x(E[W]) + offset.
+
+    The work is proportional to the cut's source side and the edges
+    meeting it, not to the whole gadget: the edges leaving W are the
+    incidences of the source-side vertices, W and E[W] are what remains
+    of the vertices and the selected edges, and charge(W) and x(E[W])
+    are the totals less the source-side terms.
     """
-    side = cut.source_side
-    on_source = bytearray(len(g.charges))
-    for v, node in g.vertex_nodes.items():
-        if node in side:
-            on_source[v] = 1
-    source_vertices = frozenset(v for v, s in enumerate(on_source) if s)
-    witness = frozenset(v for v, s in enumerate(on_source) if not s)
-    inside, recount = [], []
-    for e in g.edges:
-        leaves = any(map(on_source.__getitem__, e.vertices))
-        # infinite wiring drags the node of an edge with a source-side
-        # vertex along; minimality keeps every other node sink-side
-        if g.edge_nodes[e.id] in side:
-            assert leaves, "edge node on the source side without any of its vertices"
-        else:
-            assert not leaves, "vertex on the source side but its edge node is not"
-            inside.append(e.id)
-        if not leaves:
-            recount.append(e.id)
-    assert inside == recount, "sink-side edges are not exactly the edges inside the witness"
+    inc = g.incidence if g.incidence is not None else _incidence(g)
+    n = len(g.charges)
+    first_edge = 2 + n  # the builder's layout: s, t, the vertices, then the edges
+    edges = g.edges
+    source_vertices, source_edges = [], set()
+    for node in cut.source_side:
+        if node >= first_edge:
+            source_edges.add(edges[node - first_edge].id)
+        elif node >= 2:
+            source_vertices.append(node - 2)
+    leaving = set().union(*[inc[v] for v in source_vertices])
+    # infinite wiring drags the node of an edge with a source-side
+    # vertex along; minimality keeps every other node sink-side
+    assert source_edges <= leaving, "edge node on the source side without any of its vertices"
+    assert leaving <= source_edges, "vertex on the source side but its edge node is not"
+    witness = frozenset(g.vertex_nodes.keys() - source_vertices)
     if g.forced is not None:
         assert g.forced in witness, "forced vertex escaped the witness"
     nums = g.charge_nums
-    value = Fraction(sum([nums[v] for v in witness]), g.charge_scale) - g.x.sum_over(inside)
+    charge = sum(nums) - sum([nums[v] for v in source_vertices])
+    value = Fraction(charge, g.charge_scale) - (g.x_total - g.x.sum_over(leaving))
     assert cut.capacity == value + g.offset, "capacity identity failed"
-    return GadgetCutInterpretation(source_vertices=source_vertices, witness=witness,
-                                   edges_inside=frozenset(inside), value=value)
+    return GadgetCutInterpretation(source_vertices=frozenset(source_vertices), witness=witness,
+                                   edges_inside=frozenset(g.edge_nodes.keys() - leaving),
+                                   value=value)
 
 
 class GadgetEngine:
@@ -253,9 +285,11 @@ def forced_sweep(g: GadgetGraph) -> Iterator[GadgetCutInterpretation]:
 
     One engine serves the whole sweep: between solves only the infinite
     sink arc moves.  Yields each vertex's cut, read back and checked, in
-    vertex order.
+    vertex order.  The incidence lists behind the read-backs are made
+    once for the whole sweep.
     """
     engine = GadgetEngine(g)
+    g = replace(g, incidence=_incidence(g))
     for v in range(len(g.charges)):
         engine.force(v)
         cut, _ = engine.solve()

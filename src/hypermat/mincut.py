@@ -33,7 +33,11 @@ last phase.  Any maximum flow saturates every minimum cut, so that set
 lies inside each minimum cut's source side and is itself one: it is the
 unique inclusion-minimal minimum cut, whichever maximum flow was reached
 and however the phases were layered.  Callers rely on that for
-deterministic tie-breaking.
+deterministic tie-breaking.  The check of the cut's capacity walks the
+side with fewer nodes: the arcs out of the reached nodes, or the arcs
+into the unreached ones.  In the gadgets either side can be the small
+one: a forced sweep often leaves only the source on its side, while a
+strength cut leaves a few vertices and their edges on the sink's.
 """
 
 from __future__ import annotations
@@ -157,7 +161,14 @@ class CutEngine:
     source has room or the sink's backward search cannot reach the source.
     One forward search from the source then gives the inclusion-minimal
     source side, and the capacities of the arcs leaving it must sum to
-    the flow minus the shift.
+    the flow minus the shift.  That sum runs over the smaller side of
+    the cut: the out-slots of the reached nodes when they are at most
+    half of all nodes, else the in-slots of the unreached ones.  Either
+    way an infinite arc across the cut fails the check.
+
+    inf_from_source counts the infinite arcs leaving the source.  Only a
+    path of infinite arcs out of the source can leave no finite cut, so
+    solve() searches for one only while that count is nonzero.
 
     The residuals, the flow and the scale persist between solves, so
     solve() only augments what the latest revisions opened up.  Only arcs
@@ -195,6 +206,8 @@ class CutEngine:
         self.extra = [0] * len(arcs)  # shift each arc carries, over `scale`
         self.flow = 0
         self.shift = 0
+        self.inf_from_source = sum(1 for tail, head, c in arcs
+                                   if tail == s and head != s and c is INF)
         # the terminal arcs of each vertex that absorb its shifts
         self.source_arc: dict[int, int] = {}
         self.sink_arc: dict[int, int] = {}
@@ -216,7 +229,10 @@ class CutEngine:
             self.slots[self.heads[i]].append(2 * i + 1)
 
     def _partner(self, v: int, sink_side: bool) -> int:
-        """The terminal arc of v on the other side, made at zero capacity if missing."""
+        """The terminal arc of v on the other side, made at zero capacity if missing.
+
+        A made arc is finite, so inf_from_source stays as it is.
+        """
         table = self.sink_arc if sink_side else self.source_arc
         arc = table.get(v)
         if arc is None:
@@ -252,6 +268,8 @@ class CutEngine:
         if tail != s and tail != t and head != s and head != t:
             raise ValueError(f"arc {arc} is not incident to the source or sink")
         cap = _check_cap(cap)
+        if tail == s and head != s:
+            self.inf_from_source += (cap is INF) - (self.caps[arc] is INF)
         self.caps[arc] = cap
         res = self.res
         if cap is INF:
@@ -302,7 +320,7 @@ class CutEngine:
         s-t cut crosses an infinite arc.
         """
         n, s, t = self.n, self.s, self.t
-        if self._infinite_reach()[t]:
+        if self.inf_from_source and self._infinite_reach()[t]:
             raise NoFiniteCutError()
         res, to, slots = self.res, self.to, self.slots
         flow = self.flow
@@ -380,11 +398,15 @@ class CutEngine:
                     if not seen[w]:
                         seen[w] = 1
                         queue.append(w)
+        # the arcs the cut crosses, found from the side with fewer nodes:
+        # forward slots of reached nodes leading to unreached ones (k = 0),
+        # or backward slots of unreached nodes leading to reached ones (k = 1)
+        k = 0 if 2 * len(queue) <= n else 1
         int_caps = self.int_caps
         capacity = 0
-        for v in queue:
+        for v in set(range(n)).difference(queue) if k else queue:
             for a in slots[v]:
-                if not a & 1 and not seen[to[a]]:
+                if (a & 1) == k and seen[to[a]] == k:
                     c = int_caps[a >> 1]
                     assert c != -1, "minimum cut crosses an infinite arc"
                     capacity += c

@@ -43,6 +43,22 @@ def random_point(rng: random.Random, m: int) -> EdgeVector:
     return EdgeVector.of(vals)
 
 
+def reference_interpretation(g, cut):
+    """Read a supermodular gadget cut back by walking every selected edge.
+
+    Returns (source_vertices, witness, edges_inside, value) from the
+    gadget's public fields alone, for comparison with
+    interpret_gadget_cut, which reads only the cut's source side.
+    """
+    side = cut.source_side
+    source = frozenset(v for v, node in g.vertex_nodes.items() if node in side)
+    witness = frozenset(g.vertex_nodes) - source
+    inside = frozenset(e.id for e in g.edges if witness.issuperset(e.vertices))
+    value = sum((g.charges[v] for v in witness), Fraction(0)) \
+        - sum((g.x[e] for e in inside), Fraction(0))
+    return source, witness, inside, value
+
+
 def mst_cost(n: int, pairs: list[tuple[int, int]],
              costs: list[Fraction]) -> Fraction | None:
     """Kruskal; None when the graph is disconnected."""

@@ -344,6 +344,10 @@ class TestParse:
         _, cols = parse_hypergraph("2 1\n0 1 | 1.5\n")
         assert cols[0][0] == Fraction(3, 2)
 
+    def test_repeated_tokens_parse_alike(self):
+        _, cols = parse_hypergraph("3 3\n0 1 | 1/2 0.5\n1 2 | 1/2 2/4\n0 2 | 0.5 1/2\n")
+        assert [list(c) for c in cols] == [[Fraction(1, 2)] * 3] * 2
+
     def test_loops_parse(self):
         h, _ = parse_hypergraph("2 1\n1\n")
         assert h.edge(0).is_loop
@@ -361,6 +365,8 @@ class TestParse:
         ("2 1\n0 1 | 1 2 3 4\n", "more than three"),
         ("2 1\n0 1 | 1/0\n", "bad rational"),
         ("2 1\n0 1 | q\n", "bad rational"),
+        # a token that parsed earlier does not mask a bad one after it
+        ("2 2\n0 1 | 1/2 1/2\n0 1 | 1/2 1/0\n", "line 3: bad rational '1/0'"),
         ("2 1\n0 x\n", "integers"),
     ])
     def test_format_errors(self, text, fragment):

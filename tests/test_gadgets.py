@@ -1,4 +1,5 @@
 import itertools
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -7,6 +8,7 @@ from hypothesis import strategies as st
 
 from hypermat import (
     INF,
+    CutResult,
     EdgeVector,
     Hypergraph,
     build_supermodular_gadget,
@@ -15,6 +17,8 @@ from hypermat import (
     min_st_cut,
 )
 from hypermat.gadgets import GadgetEngine, build_arboricity_gadget
+
+from helpers import reference_interpretation
 
 
 def vertex_subsets(n, forced=None):
@@ -236,6 +240,65 @@ class TestSupermodularGadgetAgainstBrute:
                                 if node not in cut.source_side)
             assert (witness, value) == (ref.witness, ref.value)
             assert engine.offset == fresh.offset
+
+
+def _read_back(info):
+    return info.source_vertices, info.witness, info.edges_inside, info.value
+
+
+class TestReadBack:
+    # interpret_gadget_cut reads only the cut's source side and the edges
+    # meeting it; a walk over every edge must read the same sets and value
+    @settings(max_examples=150, deadline=None)
+    @given(charged_instances(), st.data())
+    def test_matches_full_edge_walk(self, inst, data):
+        h, x, charges = inst
+        forced = data.draw(st.none() | st.integers(0, h.n - 1))
+        ids = data.draw(st.none() | st.lists(st.integers(0, h.m - 1), unique=True)) \
+            if h.m else None
+        g = build_supermodular_gadget(h, x, charges, forced=forced, edge_ids=ids)
+        cut = min_st_cut(g.network)
+        assert _read_back(interpret_gadget_cut(g, cut)) == reference_interpretation(g, cut)
+        engine = GadgetEngine(g)
+        for v, info in enumerate(forced_sweep(g)):
+            engine.force(v)
+            cut, _ = engine.solve()
+            assert _read_back(info) == reference_interpretation(replace(g, forced=v), cut)
+
+    def _gadget(self, h1):
+        # x = 1 everywhere ties every W holding 0 with V, so the minimum cut
+        # has the source alone on its side
+        g = build_supermodular_gadget(h1, EdgeVector.ones(h1.m), [Fraction(1)] * h1.n, forced=0)
+        cut = min_st_cut(g.network)
+        assert cut.source_side == {g.network.source}
+        assert interpret_gadget_cut(g, cut).witness == frozenset(range(h1.n))
+        return g, cut
+
+    def test_edge_node_without_a_vertex(self, h1):
+        g, cut = self._gadget(h1)
+        bad = CutResult(cut.source_side | {g.edge_nodes[1]}, cut.capacity)
+        with pytest.raises(AssertionError, match="edge node on the source side without"):
+            interpret_gadget_cut(g, bad)
+
+    def test_vertex_without_its_edge_node(self, h1):
+        g, cut = self._gadget(h1)
+        # vertex 3 is in edges 1 and 2; only edge 2's node comes along
+        bad = CutResult(cut.source_side | {g.vertex_nodes[3], g.edge_nodes[2]}, cut.capacity)
+        with pytest.raises(AssertionError, match="vertex on the source side but its edge node"):
+            interpret_gadget_cut(g, bad)
+
+    def test_forced_vertex_escaped(self, h1):
+        g, cut = self._gadget(h1)
+        # vertex 0 leaves W with both of its edges' nodes: the wiring holds
+        bad = CutResult(cut.source_side | {g.vertex_nodes[0], g.edge_nodes[0], g.edge_nodes[2]},
+                        cut.capacity)
+        with pytest.raises(AssertionError, match="forced vertex escaped the witness"):
+            interpret_gadget_cut(g, bad)
+
+    def test_capacity_identity(self, h1):
+        g, cut = self._gadget(h1)
+        with pytest.raises(AssertionError, match="capacity identity failed"):
+            interpret_gadget_cut(g, CutResult(cut.source_side, cut.capacity + Fraction(1, 2)))
 
 
 class TestArboricityGadget:

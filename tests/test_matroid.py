@@ -288,7 +288,35 @@ class TestMaxWeightHyperforest:
             assert is_independent(h, chosen)
 
 
+@st.composite
+def point_instances(draw):
+    """(h, x) at n <= 6 with parallel edges, loops only at n = 1; x mostly in [0, 1]."""
+    n = draw(st.integers(1, 6))
+    edges = draw(st.lists(
+        st.lists(st.integers(0, n - 1), min_size=min(n, 2), max_size=n, unique=True), max_size=8))
+    # weighted towards 1, where the set inequalities bind
+    coordinate = st.sampled_from([Fraction(v) for v in
+                                  ("0", "1/3", "1/2", "2/3", "3/4", "1", "1", "1", "1", "5/4")])
+    x = draw(st.lists(coordinate, min_size=len(edges), max_size=len(edges)))
+    return Hypergraph(n, edges), EdgeVector.of(x)
+
+
 class TestSeparation:
+    @settings(max_examples=200, deadline=None)
+    @given(point_instances())
+    def test_matches_enumeration(self, inst):
+        h, x = inst
+        outcome = separate_polytope(h, x)
+        assert isinstance(outcome, InPolytope) == brute_separate(h, x)
+        if isinstance(outcome, SetViolation):
+            # the witness attains the minimum of |W| - x(E[W]) over nonempty W
+            def score(w):
+                return len(w) - x.sum_over(h.induced_edges(None, w))
+            best = min(score(w) for r in range(1, h.n + 1)
+                       for w in itertools.combinations(range(h.n), r))
+            assert score(outcome.witness) == best < 1
+            assert outcome.lhs == x.sum_over(outcome.edge_set) > outcome.rhs
+
     def test_interior_point(self, h0, k3):
         assert isinstance(separate_polytope(h0, EdgeVector.ones(2)), InPolytope)
         assert isinstance(separate_polytope(k3, EdgeVector.of(["2/3"] * 3)), InPolytope)

@@ -401,6 +401,63 @@ class TestCutEngine:
         with pytest.raises(ValueError):
             engine.set_capacity(0, Fraction(-1))
 
+    def test_infinite_source_arc_revision_still_raises(self):
+        # solve() looks for an infinite path only while an infinite arc
+        # leaves the source; a revision must keep that count right
+        arcs = ((0, 1, Fraction(4)), (1, 2, INF), (0, 2, Fraction(1)), (1, 0, INF))
+        engine = CutEngine(FlowNetwork(3, arcs, 0, 2))
+        assert engine.inf_from_source == 0
+        assert engine.solve().capacity == 5
+        engine.set_capacity(0, INF)
+        assert engine.inf_from_source == 1
+        with pytest.raises(NoFiniteCutError):
+            engine.solve()
+        engine.set_capacity(0, INF)  # the same revision again counts once
+        assert engine.inf_from_source == 1
+        engine.set_capacity(0, Fraction(2))
+        assert engine.inf_from_source == 0
+        assert engine.solve().capacity == 3
+
+
+def _fan(leaves: int, source_cap: Fraction, sink_cap: Fraction) -> FlowNetwork:
+    """s = 0 feeds each of `leaves` middle nodes, each of which feeds t."""
+    t = leaves + 1
+    arcs = [(0, v, source_cap) for v in range(1, t)] + [(v, t, sink_cap) for v in range(1, t)]
+    return FlowNetwork(leaves + 2, tuple(arcs), 0, t)
+
+
+# the minimal source side is {s} (below half the nodes) or everything but t
+# (above half): the capacity check sums over the other side in each case
+_SIDES = [(_fan(5, Fraction(1, 2), Fraction(3)), 1), (_fan(5, Fraction(3), Fraction(1, 2)), 6)]
+
+
+class TestCutCheckSides:
+    @pytest.mark.parametrize("net,reached", _SIDES)
+    def test_either_side_against_brute(self, net, reached):
+        cut = min_st_cut(net)
+        assert len(cut.source_side) == reached
+        assert (cut.capacity, cut.source_side) == brute_cut(net)
+
+    @pytest.mark.parametrize("net,reached", _SIDES)
+    def test_tampered_shift_fails_the_check(self, net, reached):
+        engine = CutEngine(net)
+        assert len(engine.solve().source_side) == reached
+        engine.shift += 1
+        with pytest.raises(AssertionError, match="max-flow / min-cut mismatch"):
+            engine.solve()
+
+    @pytest.mark.parametrize("net,reached", _SIDES)
+    def test_infinite_crossing_arc_fails_the_check(self, net, reached):
+        # a cut that crosses an infinite arc cannot come from a maximum
+        # flow; mark a crossing arc infinite behind the engine's back
+        engine = CutEngine(net)
+        cut = engine.solve()
+        crossing = next(i for i, (a, b, _) in enumerate(net.arcs)
+                        if a in cut.source_side and b not in cut.source_side)
+        engine.int_caps[crossing] = -1
+        with pytest.raises(AssertionError, match="minimum cut crosses an infinite arc"):
+            engine.solve()
+
 
 _CAPS = st.one_of(st.just(INF), st.just(Fraction(0)),
                   st.builds(Fraction, st.integers(0, 8), st.integers(1, 4)))

@@ -3,6 +3,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hypermat import (
     EdgeVector,
@@ -128,3 +130,35 @@ class TestArboricity:
             assert res.k == math.ceil(expected)
             inside = h.induced_edges(None, res.witness)
             assert Fraction(len(inside), len(res.witness) - 1) == expected
+
+
+def _hypergraphs(min_size):
+    """Hypergraphs at 2 <= n <= 6 with edges of at least min_size vertices, parallel copies included."""
+    return st.integers(2, 6).flatmap(lambda n: st.builds(Hypergraph, st.just(n), st.lists(
+        st.lists(st.integers(0, n - 1), min_size=min_size, max_size=n, unique=True), max_size=8)))
+
+
+class TestAgainstBruteProperty:
+    @settings(max_examples=150, deadline=None)
+    @given(_hypergraphs(1), st.data())
+    def test_strength_matches_enumeration(self, h, data):
+        caps = data.draw(st.none() | st.lists(
+            st.builds(Fraction, st.integers(0, 6), st.integers(1, 3)),
+            min_size=h.m, max_size=h.m).map(EdgeVector.of))
+        res = strength(h, caps)
+        expected, _ = brute_strength(h, caps)
+        assert res.sigma == expected
+        assert res.integer_packing == math.floor(expected)
+        p = res.critical_partition
+        c = caps if caps is not None else EdgeVector.ones(h.m)
+        assert len(p.blocks) >= 2
+        assert c.sum_over(h.cross_edges(None, p)) / (len(p.blocks) - 1) == expected
+
+    @settings(max_examples=150, deadline=None)
+    @given(_hypergraphs(2))
+    def test_arboricity_matches_enumeration(self, h):
+        res = arboricity(h)
+        expected, _ = brute_arboricity(h)
+        assert res.rho == expected
+        assert res.k == math.ceil(expected)
+        assert Fraction(len(h.induced_edges(None, res.witness)), len(res.witness) - 1) == expected
