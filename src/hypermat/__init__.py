@@ -7,7 +7,8 @@ run on a bipartite matching of edges to vertices; the rest reduce to a
 short sequence of minimum-cut problems on small auxiliary digraphs.
 All arithmetic is exact (fractions.Fraction); every public routine
 returns certificates that are re-checked internally before being
-handed out.
+handed out.  Those checks are `assert` statements, which `python -O`
+drops; making them survive it is item 2 of ROADMAP.md.
 """
 
 from .core import (

@@ -1,4 +1,4 @@
-"""Builders for the auxiliary cut networks behind every cut reduction.
+"""Builders for the auxiliary cut networks behind every cut reduction, and their one solver.
 
 Polytope separation, the partition oracle (and through it strength),
 each round of reinforcement and arboricity all minimize one set
@@ -12,8 +12,12 @@ vertices): a source-side vertex drags the nodes of its edges along, so
 each edge either lies entirely inside W (its node sink-side, paying
 nothing) or pays x_e to the cut.  Per-vertex source and sink arcs carry
 the charges.  `build_arboricity_gadget` is the same builder at
-arboricity's charges and weights.  `GadgetEngine` re-solves one such
-gadget after moving the forced vertex or changing a charge.
+arboricity's charges and weights.
+
+Every cut of such a gadget is solved by `GadgetEngine`, warm across
+moves of the forced vertex and charge revisions, and read back once by
+`interpret_gadget_cut`, which checks it against the charges and forced
+vertex of that solve.  `forced_sweep` forces each vertex in turn.
 
 Charges come in and go out as Fractions.  The builder also keeps them
 as integers over their common denominator, so reading a cut back sums
@@ -32,7 +36,7 @@ answers them by bipartite matching of edges to vertices.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterable, Iterator, Sequence
 
@@ -49,21 +53,18 @@ class GadgetGraph:
     vertex_nodes maps vertex ids to network nodes and edge_nodes the
     selected edge ids to theirs: node 0 is the source, node 1 the sink,
     vertex v is node 2 + v and the k-th selected edge node 2 + n + k.
-    x and charges are what the gadget was built with, and charge_nums
-    are the charges as integers over charge_scale, their common
-    denominator.  x_total is x summed over the selected edges.  offset
-    is the term of the capacity identity that no cut changes, x_total
-    less the negative charges, so a cut with witness W has capacity
-    charge(W) - x(E[W]) + offset.
+    x and charges are the weights and charges of the cuts read back,
+    and charge_nums are the charges as integers over charge_scale, their
+    common denominator.  x_total is x summed over the selected edges.
+    offset is the term of the capacity identity that no cut changes,
+    x_total less the negative charges, so a cut with witness W has
+    capacity charge(W) - x(E[W]) + offset.
     forced is the vertex every witness must hold, or None.
 
     incidence lists, per vertex, the ids of the selected edges holding
-    it; reading a cut back walks only the lists of its source-side
-    vertices.  The builder leaves it None, and a read-back then makes
-    the lists for itself, which costs one pass over the selected edges:
-    a network that is solved without being read back, as in the
-    partition oracle, never pays for them.  forced_sweep makes them
-    once for all of its n read-backs.
+    it, so reading a cut back walks only the lists of its source-side
+    vertices.  network is the network as built: the copy a `GadgetEngine`
+    hands the read-back keeps it under its revised charges and offset.
 
     The witness of the inclusion-minimal minimum cut, the one every
     solve reports, is the inclusion-maximal minimizer of that function:
@@ -84,7 +85,7 @@ class GadgetGraph:
     x_total: Fraction
     offset: Fraction
     forced: int | None
-    incidence: tuple[list[int], ...] | None = field(default=None, repr=False, compare=False)
+    incidence: tuple[list[int], ...] = field(repr=False, compare=False)
 
 
 @dataclass(frozen=True)
@@ -158,10 +159,14 @@ def _supermodular_gadget(h: Hypergraph, x: EdgeVector, charges: Sequence[Fractio
     for v, c in enumerate(ch):
         arcs.append((2 + v, 1, INF if v == forced else _sink_cap(c)))
     enode: dict[int, int] = {}
+    inc: tuple[list[int], ...] = tuple([[] for _ in ch])
     for node, e in enumerate(edges, start=2 + h.n):
-        enode[e.id] = node
-        arcs.extend([(2 + u, node, INF) for u in e.vertices])
-        arcs.append((node, 1, x[e.id]))
+        i = e.id
+        enode[i] = node
+        for u in e.vertices:
+            arcs.append((2 + u, node, INF))
+            inc[u].append(i)
+        arcs.append((node, 1, x[i]))
     if x_total is None:
         x_total = x.sum_over(ids)
     offset = x_total - sum([c for c in ch if c < 0], _ZERO)
@@ -171,18 +176,8 @@ def _supermodular_gadget(h: Hypergraph, x: EdgeVector, charges: Sequence[Fractio
         network=FlowNetwork(2 + h.n + len(edges), tuple(arcs), 0, 1),
         vertex_nodes={v: 2 + v for v in range(h.n)}, edge_nodes=enode, edges=edges,
         x=x, charges=tuple(ch), charge_nums=nums, charge_scale=scale, x_total=x_total,
-        offset=offset, forced=forced,
+        offset=offset, forced=forced, incidence=inc,
     )
-
-
-def _incidence(g: GadgetGraph) -> tuple[list[int], ...]:
-    """Per vertex, the ids of the selected edges holding it."""
-    inc: tuple[list[int], ...] = tuple([[] for _ in g.charges])
-    for e in g.edges:
-        i = e.id
-        for u in e.vertices:
-            inc[u].append(i)
-    return inc
 
 
 def interpret_gadget_cut(g: GadgetGraph, cut: CutResult) -> GadgetCutInterpretation:
@@ -200,9 +195,8 @@ def interpret_gadget_cut(g: GadgetGraph, cut: CutResult) -> GadgetCutInterpretat
     of the vertices and the selected edges, and charge(W) and x(E[W])
     are the totals less the source-side terms.
     """
-    inc = g.incidence if g.incidence is not None else _incidence(g)
-    n = len(g.charges)
-    first_edge = 2 + n  # the builder's layout: s, t, the vertices, then the edges
+    inc = g.incidence
+    first_edge = 2 + len(inc)  # the builder's layout: s, t, the vertices, then the edges
     edges = g.edges
     source_vertices, source_edges = [], set()
     for node in cut.source_side:
@@ -228,69 +222,78 @@ def interpret_gadget_cut(g: GadgetGraph, cut: CutResult) -> GadgetCutInterpretat
 
 
 class GadgetEngine:
-    """One warm-started min-cut engine over a supermodular gadget.
+    """The one solver of supermodular gadget cuts: warm re-solves, each read back.
 
-    The only reader of the builder's terminal-arc layout: vertex v's
-    source arc sits at position v and its sink arc at n + v.  force()
-    moves the infinite sink arc to another vertex, set_charge() revises
-    a vertex's two terminal arcs and the offset, and solve() returns the
-    cut with its value, the capacity less the offset, which is
-    charge(W) - x(E[W]) at the cut's witness W.
-
-    The engine keeps its own charges, forced vertex and offset.  Those
-    of the gadget it was made from describe the network as built and
-    are stale once set_charge() has run, so interpret_gadget_cut() on
-    that gadget does not hold for a cut solved after a charge revision.
+    force() moves the infinite sink arc to another vertex and
+    set_charge() revises a vertex's two terminal arcs; vertex v's source
+    arc sits at position v and its sink arc at n + v, the builder's
+    layout, which nothing else reads.  solve() returns the minimum cut
+    read back by interpret_gadget_cut() against the charges, offset and
+    forced vertex as they stand, so the read-back checks every revision.
+    The charges are also kept as integers over a common denominator that
+    grows only when a new charge needs it.
     """
 
     def __init__(self, g: GadgetGraph) -> None:
-        self.charges = list(g.charges)
-        self.forced = g.forced
-        self.offset = g.offset
+        self._gadget = g
+        self._charges = list(g.charges)
+        self._nums = list(g.charge_nums)
+        self._scale = g.charge_scale
+        self._offset = g.offset
+        self._forced = g.forced
         self._engine = CutEngine(g.network)
 
     def force(self, v: int) -> None:
         """Make v the forced vertex, releasing the previous one."""
-        old, n = self.forced, len(self.charges)
+        old, n = self._forced, len(self._charges)
         if not 0 <= v < n:
             raise ValueError("vertex out of range")
         if v == old:
             return
         if old is not None:
-            self._engine.set_capacity(n + old, _sink_cap(self.charges[old]))
+            self._engine.set_capacity(n + old, _sink_cap(self._charges[old]))
         self._engine.set_capacity(n + v, INF)
-        self.forced = v
+        self._forced = v
 
     def set_charge(self, v: int, charge: Fraction) -> None:
-        """Give vertex v a new charge."""
-        if not 0 <= v < len(self.charges):
+        """Give vertex v a new charge; a rejected one changes nothing."""
+        charge = as_fraction(charge)
+        n = len(self._charges)
+        if not 0 <= v < n:
             raise ValueError("vertex out of range")
-        old = self.charges[v]
-        if old < 0:
-            self.offset += old
-        if charge < 0:
-            self.offset -= charge
-        self.charges[v] = charge
         self._engine.set_capacity(v, charge if charge > 0 else _ZERO)
-        if v != self.forced:
-            self._engine.set_capacity(len(self.charges) + v, _sink_cap(charge))
+        if v != self._forced:
+            self._engine.set_capacity(n + v, _sink_cap(charge))
+        old = self._charges[v]
+        if old < 0:
+            self._offset += old
+        if charge < 0:
+            self._offset -= charge
+        self._charges[v] = charge
+        d = charge.denominator
+        if self._scale % d:
+            k = d // math.gcd(self._scale, d)
+            self._nums = [c * k for c in self._nums]
+            self._scale *= k
+        self._nums[v] = charge.numerator * (self._scale // d)
 
-    def solve(self) -> tuple[CutResult, Fraction]:
-        cut = self._engine.solve()
-        return cut, cut.capacity - self.offset
+    def solve(self) -> GadgetCutInterpretation:
+        """The minimum cut under the current charges and forced vertex, read back."""
+        g = self._gadget
+        live = GadgetGraph(g.network, g.vertex_nodes, g.edge_nodes, g.edges, g.x,
+                           tuple(self._charges), tuple(self._nums), self._scale, g.x_total,
+                           self._offset, self._forced, g.incidence)
+        return interpret_gadget_cut(live, self._engine.solve())
 
 
 def forced_sweep(g: GadgetGraph) -> Iterator[GadgetCutInterpretation]:
     """Minimum cuts of a supermodular gadget with each vertex forced in turn.
 
-    One engine serves the whole sweep: between solves only the infinite
-    sink arc moves.  Yields each vertex's cut, read back and checked, in
-    vertex order.  The incidence lists behind the read-backs are made
-    once for the whole sweep.
+    One engine serves the whole sweep: for each vertex in order it
+    forces that vertex and solves, so between solves only the infinite
+    sink arc moves.  Yields each cut read back and checked.
     """
     engine = GadgetEngine(g)
-    g = replace(g, incidence=_incidence(g))
     for v in range(len(g.charges)):
         engine.force(v)
-        cut, _ = engine.solve()
-        yield interpret_gadget_cut(replace(g, forced=v), cut)
+        yield engine.solve()

@@ -276,6 +276,8 @@ def independence_test_incremental(h: Hypergraph, independent_ids: Sequence[int],
     the set is not independent, a ValueError.  Then two searches answer
     for the candidate.
     """
+    if not all([0 <= e < h.m for e in (*independent_ids, candidate)]):
+        raise ValueError("edge id out of range")
     if candidate in independent_ids:
         raise ValueError("candidate already in the set")
     if len(set(independent_ids)) != len(independent_ids):
@@ -323,16 +325,14 @@ def separate_polytope(h: Hypergraph, x: EdgeVector) -> SeparationOutcome:
             return BoundViolation(edge=e, value=x[e], upper=Fraction(0))
         if x[e] > 1:
             return BoundViolation(edge=e, value=x[e], upper=Fraction(1))
-    best: tuple[Fraction, frozenset[int]] | None = None
-    if h.n:
-        # charge 1 per vertex makes the polytope gadget: its cut identity
-        # reads |W| - x(E[W]) + x(E)
-        g = build_supermodular_gadget(h, x, [Fraction(1)] * h.n, forced=0)
-        for info in forced_sweep(g):
-            if best is None or info.value < best[0]:
-                best = (info.value, info.witness)
-    if best is not None and best[0] < 1:
-        witness = best[1]
+    if not h.n:
+        return InPolytope()
+    # charge 1 per vertex makes the polytope gadget: its cut identity
+    # reads |W| - x(E[W]) + x(E); the first minimum in vertex order wins
+    g = build_supermodular_gadget(h, x, [Fraction(1)] * h.n, forced=0)
+    best = min(forced_sweep(g), key=lambda info: info.value)
+    if best.value < 1:
+        witness = best.witness
         edge_set = h.induced_edges(None, witness)
         lhs = x.sum_over(edge_set)
         rhs = len(witness) - 1

@@ -20,8 +20,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .core import EdgeVector, Hypergraph, LoopPresentError, Partition
-from .gadgets import build_arboricity_gadget, forced_sweep, interpret_gadget_cut
-from .mincut import min_st_cut
+from .gadgets import GadgetEngine, build_arboricity_gadget, forced_sweep
 from .partition_oracle import min_partition
 
 
@@ -118,8 +117,7 @@ def arboricity(h: Hypergraph) -> ArboricityResult:
     while True:
         iterations += 1
         assert iterations <= h.n, "Newton iteration exceeded |V| rounds"
-        g = build_arboricity_gadget(h, density)
-        info = interpret_gadget_cut(g, min_st_cut(g.network))
+        info = GadgetEngine(build_arboricity_gadget(h, density)).solve()
         cand = info.witness
         if cand:
             # min over all W (empty included) is <= 0 and this maximal
@@ -127,14 +125,11 @@ def arboricity(h: Hypergraph) -> ArboricityResult:
             assert info.value <= 0
         else:
             # every nonempty W scores positive; sweep to find the exact
-            # minimum over nonempty sets
-            best: tuple[Fraction, frozenset[int]] | None = None
-            g = build_arboricity_gadget(h, density, forced=0)
-            for info in forced_sweep(g):
-                if best is None or info.value < best[0]:
-                    best = (info.value, info.witness)
-            assert best is not None and best[0] > 0
-            if best[0] == density:
+            # minimum over nonempty sets, the first in vertex order
+            best = min(forced_sweep(build_arboricity_gadget(h, density, forced=0)),
+                       key=lambda info: info.value)
+            assert best.value > 0
+            if best.value == density:
                 # only singletons attain the minimum: no set beats the
                 # current anchor, whose ratio equals the density exactly
                 k = math.ceil(density)
@@ -142,7 +137,7 @@ def arboricity(h: Hypergraph) -> ArboricityResult:
                                            len(witness) - 1)
                 return ArboricityResult(rho=density, k=k, witness=witness,
                                         iterations=iterations)
-            cand = best[1]
+            cand = best.witness
         size = len(cand)
         assert size >= 2, "improving set cannot be a singleton"
         inside = len(h.induced_edges(None, cand))

@@ -16,9 +16,13 @@ the credit t when S misses a fixed root vertex.  That demand function is
 supermodular on intersecting sets, so a greedy works: start every vertex
 at the generous value t + x(all edges), then repeatedly pick an uncovered
 vertex and drop its value by the minimum slack y(S) - demand(S) over sets
-S containing it.  One min cut computes that slack exactly.  The sets that
-become tight are merged into a disjoint family whose complement-blocks
-form the optimal partition, and x(all) - y(V) is the optimal value.
+S containing it.  One min cut of a warm `GadgetEngine`, read back, gives
+that slack and the inclusion-maximal set W attaining it, which the drop
+makes tight.  The tight family stays disjoint: an earlier tight set
+meeting W lies inside W, because its union with W is tight and holds
+the pivot, so W takes the place of every set it meets.  The family's
+sets are the blocks of the optimal partition, and x(all) - y(V) is the
+optimal value.
 
 Weights and the threshold come in as Fractions and the value goes out
 as one.  In between the potentials, slacks and demands are integers
@@ -84,10 +88,8 @@ def min_partition(h: Hypergraph, weights: EdgeVector, threshold: Fraction,
     start = Fraction(t + total, scale)
     charges = [start] * n
     charges[root] = start + threshold
-    gadget = build_supermodular_gadget(h, weights, charges, edge_ids=ids,
-                                       x_total=Fraction(total, scale))
-    nodes = gadget.vertex_nodes
-    engine = GadgetEngine(gadget)
+    engine = GadgetEngine(build_supermodular_gadget(h, weights, charges, edge_ids=ids,
+                                                    x_total=Fraction(total, scale)))
 
     covered = bytearray(n)
     family: list[frozenset[int]] = []
@@ -103,34 +105,30 @@ def min_partition(h: Hypergraph, weights: EdgeVector, threshold: Fraction,
         steps += 1
         assert steps <= n, "greedy exceeded |V| steps"
         engine.force(pivot)
-        cut, value = engine.solve()
-        side = cut.source_side
-        tight = frozenset(v for v, node in nodes.items() if node not in side)
+        cut = engine.solve()
+        tight = cut.witness
         # value = charge(tight) - weights(inside tight), and a set's charge is
         # its potential plus the credit when it holds the root, so the
         # minimum slack over sets containing the pivot is:
-        scaled = value * scale
+        scaled = cut.value * scale
         assert scaled.denominator == 1, "slack off the common denominator"
         slack = scaled.numerator - t
-        assert pivot in tight
         assert slack >= 0, "cover became infeasible"
         potentials[pivot] -= slack
         engine.set_charge(pivot, Fraction(potentials[pivot] + (t if pivot == root else 0), scale))
-        assert sum([potentials[v] for v in tight]) == demand(tight), \
+        inside = sum([w[e] for e in cut.edges_inside])
+        assert sum([potentials[v] for v in tight]) == (inside if root in tight else inside + t), \
             "chosen set is not tight after the drop"
-        # uncross: unions of intersecting tight sets stay tight
-        merged = set(tight)
+        # uncross: the witness takes the place of every tight set it meets
         keep: list[frozenset[int]] = []
         for s in family:
-            if s & merged:
-                merged |= s
-                assert sum([potentials[v] for v in merged]) == demand(frozenset(merged)), \
-                    "union of intersecting tight sets lost tightness"
+            if s & tight:
+                assert s <= tight, "a tight set meeting the witness sticks out of it"
             else:
                 keep.append(s)
-        keep.append(frozenset(merged))
+        keep.append(tight)
         family[:] = keep
-        for v in merged:
+        for v in tight:
             covered[v] = 1
 
     partition = Partition(n, tuple(tuple(sorted(s)) for s in family))

@@ -38,8 +38,7 @@ from fractions import Fraction
 from typing import Iterable, Sequence
 
 from .core import EdgeVector, Hypergraph, Partition
-from .gadgets import build_supermodular_gadget, interpret_gadget_cut
-from .mincut import min_st_cut
+from .gadgets import GadgetEngine, build_supermodular_gadget
 
 
 @dataclass(frozen=True)
@@ -83,8 +82,8 @@ class ReinforcementResult:
     merges: tuple[MergeDescriptor, ...] = ()
 
 
-def _subproblem(h: Hypergraph, held: Iterable[int], bounds: Sequence[Fraction],
-                threshold: Fraction, current: Partition, trigger: int) -> tuple[Fraction, frozenset[int]]:
+def _subproblem(h: Hypergraph, held: Iterable[int], bounds: Sequence[int],
+                threshold: int, current: Partition, trigger: int) -> tuple[Fraction, frozenset[int]]:
     """Minimize bounds(crossing tight edges) - threshold * (|P| - 1) once `trigger` is tight.
 
     `held` is the tight edges crossing the current partition, the
@@ -100,7 +99,8 @@ def _subproblem(h: Hypergraph, held: Iterable[int], bounds: Sequence[Fraction],
     edge maps to its block image, a loop at 0 when it lies within the
     trigger's blocks.  Then charge(W) - bounds(E[W]) is delta of the
     blocks W stands for.
-    Returns the new minimum and the group to merge: the indices of the
+    Bounds and threshold are integers over one denominator, and so is
+    the new minimum, returned with the group to merge: the indices of the
     blocks in the cut's witness, the inclusion-maximal minimizer, when
     the cut's value is zero or less, else the empty set.  At a new
     optimum of zero the group is every block, so reinforcement ends on
@@ -114,15 +114,15 @@ def _subproblem(h: Hypergraph, held: Iterable[int], bounds: Sequence[Fraction],
     for q, i in enumerate(others, 1):
         qid[i] = q
     images: list[list[int]] = []
-    weights: list[Fraction] = []
+    weights: list[int] = []
     for e in held:
         images.append(sorted({qid[label[v]] for v in h.edges[e].vertices}))
         weights.append(bounds[e])
     charges = [threshold * (len(trigger_blocks) - 1)] + [threshold] * len(others)
     g = build_supermodular_gadget(Hypergraph(len(charges), images), EdgeVector(weights),
                                   charges, forced=0)
-    cut = interpret_gadget_cut(g, min_st_cut(g.network))
-    value = g.x.total() - threshold * (nblocks - 1)
+    cut = GadgetEngine(g).solve()
+    value = sum(weights) - threshold * (nblocks - 1)
     if cut.value > 0:
         return value, frozenset()
     return value + cut.value, frozenset(i for i in range(nblocks) if qid[i] in cut.witness)
@@ -171,14 +171,11 @@ def reinforce(h: Hypergraph, tree_count: int, costs: EdgeVector,
         raise ValueError("tree count must be a nonnegative integer")
     costs.require_length(h.m, "costs")
     costs.require_nonnegative("costs")
-    k = Fraction(tree_count)
     if bounds is None:
-        ub = [k * (h.n - 1)] * h.m
         ubi, bscale = [tree_count * (h.n - 1)] * h.m, 1
     else:
         bounds.require_length(h.m, "bounds")
         bounds.require_nonnegative("bounds")
-        ub = list(bounds)
         ubi, bscale = bounds._integers()
 
     if tree_count == 0 or h.n == 1:
@@ -236,10 +233,7 @@ def reinforce(h: Hypergraph, tree_count: int, costs: EdgeVector,
         candidates.remove(trigger)
         held.add(trigger)
 
-        value, group = _subproblem(h, held, ub, k, current, trigger)
-        scaled = value * bscale
-        assert scaled.denominator == 1, "subproblem value off the bounds' denominator"
-        value = scaled.numerator
+        value, group = _subproblem(h, held, ubi, kb, current, trigger)
         assert value <= 0
         if group:
             merged_partition, merged, inside, lam = canonicalize_merge(

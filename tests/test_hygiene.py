@@ -75,3 +75,21 @@ def test_readme_lower_level_names_are_exported():
         obj = getattr(hypermat, head)
         for attr in rest:
             obj = getattr(obj, attr)
+
+
+def test_gadget_cuts_take_one_path():
+    # every gadget cut is solved and read back by gadgets.GadgetEngine:
+    # no other module solves a cut or reads a cut's source side
+    stray = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        if path.name in ("mincut.py", "gadgets.py"):
+            continue
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Call):
+                func = node.func
+                name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+                if name in ("min_st_cut", "CutEngine"):
+                    stray.append(f"{path.name}:{node.lineno}: {name}()")
+            elif isinstance(node, ast.Attribute) and node.attr == "source_side":
+                stray.append(f"{path.name}:{node.lineno}: .source_side")
+    assert stray == []

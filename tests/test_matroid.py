@@ -135,6 +135,15 @@ class TestIndependence:
         with pytest.raises(ValueError):
             independence_test_incremental(h0, [0, 1], 1)
 
+    def test_incremental_rejects_out_of_range_ids(self, k3):
+        # -1 would index edge 2 and 3 would raise IndexError
+        for ids, candidate in (([0], -1), ([0], k3.m), ([-1], 0), ([0, -3], 1)):
+            with pytest.raises(ValueError, match="edge id out of range"):
+                independence_test_incremental(k3, ids, candidate)
+        # -1 is not taken for edge 2, already in the set
+        with pytest.raises(ValueError, match="edge id out of range"):
+            independence_test_incremental(k3, [2], -1)
+
     def test_incremental_rejects_dependent_set(self):
         h = Hypergraph(3, [[0, 1], [0, 1], [1, 2]])
         with pytest.raises(ValueError, match="not independent"):
