@@ -19,9 +19,11 @@ moves of the forced vertex and charge revisions, and read back once by
 `interpret_gadget_cut`, which checks it against the charges and forced
 vertex of that solve.  `forced_sweep` forces each vertex in turn.
 
-Charges come in and go out as Fractions.  The builder also keeps them
-as integers over their common denominator, so reading a cut back sums
-charge(W) in integers and makes one Fraction of it.
+Weights and charges come in as any exact rationals (an `EdgeVector`, a
+list of ints) and the builder turns them once into integers over one
+common denominator `scale`, 1 when all are ints: the only form the
+gadget, its engine and the read-back keep.  Whole capacities reach
+`FlowNetwork` as ints, so ints stay ints from the caller to the cut.
 
 Reading a cut back costs time in proportion to its source side, not to
 the gadget: a per-vertex incidence list of the selected edges gives the
@@ -40,10 +42,13 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterable, Iterator, Sequence
 
-from .core import EdgeVector, Hyperedge, Hypergraph, as_fraction
+from .core import Hyperedge, Hypergraph, as_fraction
 from .mincut import INF, Cap, CutEngine, CutResult, FlowNetwork
 
-_ZERO = Fraction(0)
+
+def _rational(num: int, scale: int) -> int | Fraction:
+    """num / scale, an int when it is whole."""
+    return num // scale if num % scale == 0 else Fraction(num, scale)
 
 
 @dataclass(frozen=True)
@@ -53,12 +58,12 @@ class GadgetGraph:
     vertex_nodes maps vertex ids to network nodes and edge_nodes the
     selected edge ids to theirs: node 0 is the source, node 1 the sink,
     vertex v is node 2 + v and the k-th selected edge node 2 + n + k.
-    x and charges are the weights and charges of the cuts read back,
-    and charge_nums are the charges as integers over charge_scale, their
-    common denominator.  x_total is x summed over the selected edges.
-    offset is the term of the capacity identity that no cut changes,
-    x_total less the negative charges, so a cut with witness W has
-    capacity charge(W) - x(E[W]) + offset.
+    charges (per vertex) and weights (per edge id) are those of the cuts
+    read back, as integers over their common denominator scale, and so
+    are the two sums below.  x_total is the weights summed over the
+    selected edges.  offset is the term of the capacity identity that no
+    cut changes, x_total less the negative charges, so a cut with
+    witness W has capacity (charge(W) - x(E[W]) + offset) / scale.
     forced is the vertex every witness must hold, or None.
 
     incidence lists, per vertex, the ids of the selected edges holding
@@ -78,12 +83,11 @@ class GadgetGraph:
     vertex_nodes: dict[int, int]
     edge_nodes: dict[int, int]
     edges: tuple[Hyperedge, ...]
-    x: EdgeVector
-    charges: tuple[Fraction, ...]
-    charge_nums: tuple[int, ...]
-    charge_scale: int
-    x_total: Fraction
-    offset: Fraction
+    charges: tuple[int, ...]
+    weights: tuple[int, ...]
+    x_total: int
+    offset: int
+    scale: int
     forced: int | None
     incidence: tuple[list[int], ...] = field(repr=False, compare=False)
 
@@ -93,38 +97,33 @@ class GadgetCutInterpretation:
     """A cut of a supermodular gadget read back as sets of the original instance.
 
     witness is W, the sink-side vertex set; edges_inside are exactly the
-    edges contained in W; value is charge(W) - x(E[W]).
+    edges contained in W; value is charge(W) - x(E[W]), an int when it is
+    whole (always so for a gadget of scale 1) and a Fraction otherwise.
     """
 
     source_vertices: frozenset[int]
     witness: frozenset[int]
     edges_inside: frozenset[int]
-    value: Fraction
+    value: int | Fraction
 
 
-def _sink_cap(c: Fraction) -> Fraction:
-    """Capacity of an unforced vertex's sink arc under charge c."""
-    return -c if c < 0 else _ZERO
-
-
-def build_supermodular_gadget(h: Hypergraph, x: EdgeVector, charges: Sequence[Fraction],
-                              forced: int | None = None,
-                              edge_ids: Iterable[int] | None = None, *,
-                              x_total: Fraction | None = None) -> GadgetGraph:
+def build_supermodular_gadget(h: Hypergraph, x: Sequence[int | Fraction],
+                              charges: Sequence[int | Fraction], forced: int | None = None,
+                              edge_ids: Iterable[int] | None = None) -> GadgetGraph:
     """Cut network minimizing charge(W) - x(E[W]) over vertex sets W.
 
-    With a forced vertex the minimum ranges over the W that hold it,
-    otherwise over every W, the empty set included.  Charges may be
-    negative; a vertex with positive charge costs that much to keep out
-    of W (source arc), a negative one pays to be in W (sink arc).  The
-    source arcs occupy positions 0..n-1 and the sink arcs n..2n-1 (the
-    forced vertex's sink arc is infinite); the arcs of the selected
-    edges' nodes follow.  Every minimum cut has capacity min over W
-    of charge(W) - x(E[W]), plus the gadget's offset.  A caller that has
-    already summed x over the selected edges passes it as x_total, and
-    the builder does not sum it again.
+    x holds a weight per edge and charges one per vertex, each any exact
+    rational: an `EdgeVector`, or a list of ints or Fractions.  With a
+    forced vertex the minimum ranges over the W that hold it, otherwise
+    over every W, the empty set included.  Charges may be negative; a
+    vertex with positive charge costs that much to keep out of W (source
+    arc), a negative one pays to be in W (sink arc).  The source arcs
+    occupy positions 0..n-1 and the sink arcs n..2n-1 (the forced
+    vertex's sink arc is infinite); the arcs of the selected edges'
+    nodes follow.  Every minimum cut has capacity min over W of
+    charge(W) - x(E[W]), plus the gadget's offset over its scale.
     """
-    return _supermodular_gadget(h, x, charges, forced, edge_ids, x_total)
+    return _supermodular_gadget(h, x, charges, forced, edge_ids)
 
 
 def build_arboricity_gadget(h: Hypergraph, density: Fraction,
@@ -136,28 +135,34 @@ def build_arboricity_gadget(h: Hypergraph, density: Fraction,
     its own so that a trace of the layer boundaries counts arboricity's
     builds, and among them its forced ones, apart from the others.
     """
-    return _supermodular_gadget(h, EdgeVector.ones(h.m), [density] * h.n, forced, None, None)
+    return _supermodular_gadget(h, [1] * h.m, [density] * h.n, forced, None)
 
 
-def _supermodular_gadget(h: Hypergraph, x: EdgeVector, charges: Sequence[Fraction],
-                         forced: int | None, edge_ids: Iterable[int] | None,
-                         x_total: Fraction | None) -> GadgetGraph:
+def _supermodular_gadget(h: Hypergraph, x: Sequence[int | Fraction],
+                         charges: Sequence[int | Fraction], forced: int | None,
+                         edge_ids: Iterable[int] | None) -> GadgetGraph:
     # the body of both public builders: neither calls the other, so a
     # trace of the layer boundaries counts each build once
-    x.require_length(h.m, "weights")
+    if len(x) != h.m:
+        raise ValueError(f"weights has {len(x)} entries, expected {h.m}")
     if forced is not None and not 0 <= forced < h.n:
         raise ValueError("forced vertex out of range")
-    ch = [as_fraction(c) for c in charges]
-    if len(ch) != h.n:
+    if len(charges) != h.n:
         raise ValueError("one charge per vertex required")
+    # every weight and charge as an integer over one common denominator
+    values = [v if type(v) is int else as_fraction(v) for v in (*x, *charges)]
+    scale = math.lcm(*[v.denominator for v in values])
+    nums = [v.numerator * (scale // v.denominator) for v in values]
+    w, ch = nums[:h.m], nums[h.m:]
     ids = h._edge_id_list(edge_ids)
     for e in ids:
-        if x[e] < 0:
+        if w[e] < 0:
             raise ValueError(f"negative weight at edge {e}")
     edges = tuple([h.edges[e] for e in ids])
-    arcs: list[tuple[int, int, Cap]] = [(0, 2 + v, c if c > 0 else _ZERO) for v, c in enumerate(ch)]
+    arcs: list[tuple[int, int, Cap]] = [(0, 2 + v, _rational(max(c, 0), scale))
+                                        for v, c in enumerate(ch)]
     for v, c in enumerate(ch):
-        arcs.append((2 + v, 1, INF if v == forced else _sink_cap(c)))
+        arcs.append((2 + v, 1, INF if v == forced else _rational(max(-c, 0), scale)))
     enode: dict[int, int] = {}
     inc: tuple[list[int], ...] = tuple([[] for _ in ch])
     for node, e in enumerate(edges, start=2 + h.n):
@@ -166,18 +171,11 @@ def _supermodular_gadget(h: Hypergraph, x: EdgeVector, charges: Sequence[Fractio
         for u in e.vertices:
             arcs.append((2 + u, node, INF))
             inc[u].append(i)
-        arcs.append((node, 1, x[i]))
-    if x_total is None:
-        x_total = x.sum_over(ids)
-    offset = x_total - sum([c for c in ch if c < 0], _ZERO)
-    scale = math.lcm(*[c.denominator for c in ch])
-    nums = tuple([c.numerator * (scale // c.denominator) for c in ch])
-    return GadgetGraph(
-        network=FlowNetwork(2 + h.n + len(edges), tuple(arcs), 0, 1),
-        vertex_nodes={v: 2 + v for v in range(h.n)}, edge_nodes=enode, edges=edges,
-        x=x, charges=tuple(ch), charge_nums=nums, charge_scale=scale, x_total=x_total,
-        offset=offset, forced=forced, incidence=inc,
-    )
+        arcs.append((node, 1, _rational(w[i], scale)))
+    total = sum([w[e] for e in ids])
+    return GadgetGraph(FlowNetwork(2 + h.n + len(edges), tuple(arcs), 0, 1),
+                       {v: 2 + v for v in range(h.n)}, enode, edges, tuple(ch), tuple(w), total,
+                       total - sum([c for c in ch if c < 0]), scale, forced, inc)
 
 
 def interpret_gadget_cut(g: GadgetGraph, cut: CutResult) -> GadgetCutInterpretation:
@@ -187,7 +185,8 @@ def interpret_gadget_cut(g: GadgetGraph, cut: CutResult) -> GadgetCutInterpretat
     satisfy: the forced vertex lands in the witness, an edge's node is
     source-side exactly when one of its vertices is (so the sink-side
     edges are exactly those contained in the witness), and the cut
-    capacity equals charge(W) - x(E[W]) + offset.
+    capacity equals charge(W) - x(E[W]) + offset over the gadget's
+    scale, checked in integers.
 
     The work is proportional to the cut's source side and the edges
     meeting it, not to the whole gadget: the edges leaving W are the
@@ -212,13 +211,13 @@ def interpret_gadget_cut(g: GadgetGraph, cut: CutResult) -> GadgetCutInterpretat
     witness = frozenset(g.vertex_nodes.keys() - source_vertices)
     if g.forced is not None:
         assert g.forced in witness, "forced vertex escaped the witness"
-    nums = g.charge_nums
-    charge = sum(nums) - sum([nums[v] for v in source_vertices])
-    value = Fraction(charge, g.charge_scale) - (g.x_total - g.x.sum_over(leaving))
-    assert cut.capacity == value + g.offset, "capacity identity failed"
+    ch, w, c = g.charges, g.weights, cut.capacity
+    value = sum(ch) - sum([ch[v] for v in source_vertices]) \
+        - (g.x_total - sum([w[e] for e in leaving]))
+    assert c.numerator * g.scale == (value + g.offset) * c.denominator, "capacity identity failed"
     return GadgetCutInterpretation(source_vertices=frozenset(source_vertices), witness=witness,
                                    edges_inside=frozenset(g.edge_nodes.keys() - leaving),
-                                   value=value)
+                                   value=_rational(value, g.scale))
 
 
 class GadgetEngine:
@@ -230,16 +229,17 @@ class GadgetEngine:
     layout, which nothing else reads.  solve() returns the minimum cut
     read back by interpret_gadget_cut() against the charges, offset and
     forced vertex as they stand, so the read-back checks every revision.
-    The charges are also kept as integers over a common denominator that
-    grows only when a new charge needs it.
+    The engine keeps the gadget's integer form; a charge off its scale
+    rescales the charges, the weights and their sums.
     """
 
     def __init__(self, g: GadgetGraph) -> None:
         self._gadget = g
         self._charges = list(g.charges)
-        self._nums = list(g.charge_nums)
-        self._scale = g.charge_scale
+        self._weights = g.weights
+        self._x_total = g.x_total
         self._offset = g.offset
+        self._scale = g.scale
         self._forced = g.forced
         self._engine = CutEngine(g.network)
 
@@ -251,38 +251,38 @@ class GadgetEngine:
         if v == old:
             return
         if old is not None:
-            self._engine.set_capacity(n + old, _sink_cap(self._charges[old]))
+            self._engine.set_capacity(n + old, _rational(max(-self._charges[old], 0), self._scale))
         self._engine.set_capacity(n + v, INF)
         self._forced = v
 
-    def set_charge(self, v: int, charge: Fraction) -> None:
-        """Give vertex v a new charge; a rejected one changes nothing."""
-        charge = as_fraction(charge)
+    def set_charge(self, v: int, charge: int | Fraction) -> None:
+        """Give vertex v a new charge, any exact rational; a rejected one changes nothing."""
+        charge = charge if type(charge) is int else as_fraction(charge)
         n = len(self._charges)
         if not 0 <= v < n:
             raise ValueError("vertex out of range")
-        self._engine.set_capacity(v, charge if charge > 0 else _ZERO)
-        if v != self._forced:
-            self._engine.set_capacity(n + v, _sink_cap(charge))
-        old = self._charges[v]
-        if old < 0:
-            self._offset += old
-        if charge < 0:
-            self._offset -= charge
-        self._charges[v] = charge
         d = charge.denominator
         if self._scale % d:
             k = d // math.gcd(self._scale, d)
-            self._nums = [c * k for c in self._nums]
+            self._charges = [c * k for c in self._charges]
+            self._weights = tuple([c * k for c in self._weights])
+            self._x_total *= k
+            self._offset *= k
             self._scale *= k
-        self._nums[v] = charge.numerator * (self._scale // d)
+        scale = self._scale
+        num = charge.numerator * (scale // d)
+        self._engine.set_capacity(v, _rational(max(num, 0), scale))
+        if v != self._forced:
+            self._engine.set_capacity(n + v, _rational(max(-num, 0), scale))
+        self._offset += min(self._charges[v], 0) - min(num, 0)
+        self._charges[v] = num
 
     def solve(self) -> GadgetCutInterpretation:
         """The minimum cut under the current charges and forced vertex, read back."""
         g = self._gadget
-        live = GadgetGraph(g.network, g.vertex_nodes, g.edge_nodes, g.edges, g.x,
-                           tuple(self._charges), tuple(self._nums), self._scale, g.x_total,
-                           self._offset, self._forced, g.incidence)
+        live = GadgetGraph(g.network, g.vertex_nodes, g.edge_nodes, g.edges,
+                           tuple(self._charges), self._weights, self._x_total, self._offset,
+                           self._scale, self._forced, g.incidence)
         return interpret_gadget_cut(live, self._engine.solve())
 
 

@@ -327,11 +327,13 @@ def separate_polytope(h: Hypergraph, x: EdgeVector) -> SeparationOutcome:
             return BoundViolation(edge=e, value=x[e], upper=Fraction(1))
     if not h.n:
         return InPolytope()
-    # charge 1 per vertex makes the polytope gadget: its cut identity
-    # reads |W| - x(E[W]) + x(E); the first minimum in vertex order wins
-    g = build_supermodular_gadget(h, x, [Fraction(1)] * h.n, forced=0)
+    # charge 1 per vertex makes the polytope gadget: its cut identity reads
+    # |W| - x(E[W]) + x(E), all over x's common denominator `scale` here;
+    # the first minimum in vertex order wins
+    nums, scale = x._integers()
+    g = build_supermodular_gadget(h, nums, [scale] * h.n, forced=0)
     best = min(forced_sweep(g), key=lambda info: info.value)
-    if best.value < 1:
+    if best.value < scale:
         witness = best.witness
         edge_set = h.induced_edges(None, witness)
         lhs = x.sum_over(edge_set)

@@ -93,25 +93,26 @@ class _Infinity:
 
 INF = _Infinity()
 
-Cap = Union[Fraction, _Infinity]
+Cap = Union[int, Fraction, _Infinity]
 
 
 def _check_cap(cap: object) -> Cap:
     if cap is INF:
         return INF
-    f = as_fraction(cap)  # type: ignore[arg-type]
-    if f < 0:
-        raise ValueError(f"negative capacity {f}")
-    return f
+    if type(cap) is not int:
+        cap = as_fraction(cap)  # type: ignore[arg-type]
+    if cap < 0:
+        raise ValueError(f"negative capacity {cap}")
+    return cap
 
 
 @dataclass(frozen=True)
 class FlowNetwork:
     """A directed network with a distinguished source and sink.
 
-    Arcs are (tail, head, capacity) triples; capacities are nonnegative
-    rationals or INF.  Parallel arcs and self-loops are permitted (a
-    self-loop never carries useful flow).
+    Arcs are (tail, head, capacity) triples, each capacity a nonnegative
+    int (kept as one), another rational (made a Fraction) or INF; parallel
+    arcs and self-loops (which never carry useful flow) are permitted.
     """
 
     node_count: int
@@ -153,8 +154,8 @@ class CutEngine:
     Residual slots 2*i and 2*i+1 belong to arc i: the forward slot holds
     what arc i can still take (-1 marks a symbolically infinite arc, which
     admits flow but is never decremented), the backward slot the flow on
-    it.  `int_caps[i]` is the capacity of arc i (-1 for INF).  Every value
-    is an integer over the common denominator `scale`.
+    it.  `caps[i]` is the capacity of arc i (-1 for INF).  Every value is
+    an integer over the common denominator `scale`, 1 for int capacities.
 
     solve() layers each phase by residual distance to the sink, augments
     along arcs one unit closer to it, and stops once no arc out of the
@@ -190,19 +191,18 @@ class CutEngine:
         self.arc_count = len(arcs)
         self.tails = [a[0] for a in arcs]
         self.heads = [a[1] for a in arcs]
-        self.caps: list[Cap] = [a[2] for a in arcs]
         scale = 1
-        for c in self.caps:
+        for _, _, c in arcs:
             if c is not INF:
                 d = c.denominator
                 if d != 1:
                     scale = scale * d // math.gcd(scale, d)
         self.scale = scale
         # each capacity as an integer over `scale`, -1 for INF
-        self.int_caps = [-1 if c is INF else c.numerator * (scale // c.denominator)
-                         for c in self.caps]
+        self.caps = [-1 if c is INF else c.numerator * (scale // c.denominator)
+                     for _, _, c in arcs]
         self.res = [0] * (2 * len(arcs))
-        self.res[::2] = self.int_caps
+        self.res[::2] = self.caps
         self.extra = [0] * len(arcs)  # shift each arc carries, over `scale`
         self.flow = 0
         self.shift = 0
@@ -240,8 +240,7 @@ class CutEngine:
             tail, head = (v, self.t) if sink_side else (self.s, v)
             self.tails.append(tail)
             self.heads.append(head)
-            self.caps.append(Fraction(0))
-            self.int_caps.append(0)
+            self.caps.append(0)
             self.res += [0, 0]
             self.extra.append(0)
             # the slots _index() would give the newest arc
@@ -253,7 +252,7 @@ class CutEngine:
     def _rescale(self, scale: int) -> None:
         k = scale // self.scale
         self.res[:] = [r if r == -1 else r * k for r in self.res]
-        self.int_caps[:] = [c if c == -1 else c * k for c in self.int_caps]
+        self.caps[:] = [c if c == -1 else c * k for c in self.caps]
         self.extra[:] = [e * k for e in self.extra]
         self.flow *= k
         self.shift *= k
@@ -269,16 +268,15 @@ class CutEngine:
             raise ValueError(f"arc {arc} is not incident to the source or sink")
         cap = _check_cap(cap)
         if tail == s and head != s:
-            self.inf_from_source += (cap is INF) - (self.caps[arc] is INF)
-        self.caps[arc] = cap
+            self.inf_from_source += (cap is INF) - (self.caps[arc] == -1)
         res = self.res
         if cap is INF:
-            self.int_caps[arc] = res[2 * arc] = -1
+            self.caps[arc] = res[2 * arc] = -1
             return
         d = cap.denominator
         if self.scale % d:
             self._rescale(self.scale * d // math.gcd(self.scale, d))
-        c = self.int_caps[arc] = cap.numerator * (self.scale // d)
+        c = self.caps[arc] = cap.numerator * (self.scale // d)
         room = c + self.extra[arc] - res[2 * arc + 1]
         if room < 0:
             # only arcs leaving s or entering t ever carry flow
@@ -306,7 +304,7 @@ class CutEngine:
             for a in slots[v]:
                 if a & 1:
                     continue  # only forward slots carry input capacity
-                if caps[a >> 1] is INF:
+                if caps[a >> 1] == -1:
                     w = to[a]
                     if not seen[w]:
                         seen[w] = 1
@@ -402,12 +400,12 @@ class CutEngine:
         # forward slots of reached nodes leading to unreached ones (k = 0),
         # or backward slots of unreached nodes leading to reached ones (k = 1)
         k = 0 if 2 * len(queue) <= n else 1
-        int_caps = self.int_caps
+        caps = self.caps
         capacity = 0
         for v in set(range(n)).difference(queue) if k else queue:
             for a in slots[v]:
                 if (a & 1) == k and seen[to[a]] == k:
-                    c = int_caps[a >> 1]
+                    c = caps[a >> 1]
                     assert c != -1, "minimum cut crosses an infinite arc"
                     capacity += c
         assert capacity == flow - self.shift, "max-flow / min-cut mismatch"

@@ -26,7 +26,8 @@ optimal value.
 
 Weights and the threshold come in as Fractions and the value goes out
 as one.  In between the potentials, slacks and demands are integers
-over one common denominator, so the tightness checks sum integers.
+over one common denominator, so the tightness checks sum integers, and
+the gadget is built from and read back in those integers.
 """
 
 from __future__ import annotations
@@ -85,11 +86,9 @@ def min_partition(h: Hypergraph, weights: EdgeVector, threshold: Fraction,
     root = 0
 
     potentials = [t + total] * n
-    start = Fraction(t + total, scale)
-    charges = [start] * n
-    charges[root] = start + threshold
-    engine = GadgetEngine(build_supermodular_gadget(h, weights, charges, edge_ids=ids,
-                                                    x_total=Fraction(total, scale)))
+    charges = list(potentials)
+    charges[root] += t
+    engine = GadgetEngine(build_supermodular_gadget(h, w, charges, edge_ids=ids))
 
     covered = bytearray(n)
     family: list[frozenset[int]] = []
@@ -110,12 +109,10 @@ def min_partition(h: Hypergraph, weights: EdgeVector, threshold: Fraction,
         # value = charge(tight) - weights(inside tight), and a set's charge is
         # its potential plus the credit when it holds the root, so the
         # minimum slack over sets containing the pivot is:
-        scaled = cut.value * scale
-        assert scaled.denominator == 1, "slack off the common denominator"
-        slack = scaled.numerator - t
+        slack = cut.value - t
         assert slack >= 0, "cover became infeasible"
         potentials[pivot] -= slack
-        engine.set_charge(pivot, Fraction(potentials[pivot] + (t if pivot == root else 0), scale))
+        engine.set_charge(pivot, potentials[pivot] + (t if pivot == root else 0))
         inside = sum([w[e] for e in cut.edges_inside])
         assert sum([potentials[v] for v in tight]) == (inside if root in tight else inside + t), \
             "chosen set is not tight after the drop"

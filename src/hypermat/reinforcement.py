@@ -83,7 +83,7 @@ class ReinforcementResult:
 
 
 def _subproblem(h: Hypergraph, held: Iterable[int], bounds: Sequence[int],
-                threshold: int, current: Partition, trigger: int) -> tuple[Fraction, frozenset[int]]:
+                threshold: int, current: Partition, trigger: int) -> tuple[int, frozenset[int]]:
     """Minimize bounds(crossing tight edges) - threshold * (|P| - 1) once `trigger` is tight.
 
     `held` is the tight edges crossing the current partition, the
@@ -119,8 +119,7 @@ def _subproblem(h: Hypergraph, held: Iterable[int], bounds: Sequence[int],
         images.append(sorted({qid[label[v]] for v in h.edges[e].vertices}))
         weights.append(bounds[e])
     charges = [threshold * (len(trigger_blocks) - 1)] + [threshold] * len(others)
-    g = build_supermodular_gadget(Hypergraph(len(charges), images), EdgeVector(weights),
-                                  charges, forced=0)
+    g = build_supermodular_gadget(Hypergraph(len(charges), images), weights, charges, forced=0)
     cut = GadgetEngine(g).solve()
     value = sum(weights) - threshold * (nblocks - 1)
     if cut.value > 0:

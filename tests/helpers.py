@@ -54,8 +54,8 @@ def reference_interpretation(g, cut):
     source = frozenset(v for v, node in g.vertex_nodes.items() if node in side)
     witness = frozenset(g.vertex_nodes) - source
     inside = frozenset(e.id for e in g.edges if witness.issuperset(e.vertices))
-    value = sum((g.charges[v] for v in witness), Fraction(0)) \
-        - sum((g.x[e] for e in inside), Fraction(0))
+    value = Fraction(sum(g.charges[v] for v in witness) - sum(g.weights[e] for e in inside),
+                     g.scale)
     return source, witness, inside, value
 
 

@@ -1,8 +1,9 @@
 import itertools
+import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from hypermat import (
@@ -12,12 +13,17 @@ from hypermat import (
     Hypergraph,
     build_supermodular_gadget,
     forced_sweep,
+    SetViolation,
     interpret_gadget_cut,
+    min_partition,
     min_st_cut,
+    reinforce,
+    separate_polytope,
+    strength,
 )
 from hypermat.gadgets import GadgetEngine, build_arboricity_gadget
 
-from helpers import reference_interpretation
+from helpers import random_hypergraph, reference_interpretation
 
 
 def vertex_subsets(n, forced=None):
@@ -205,7 +211,7 @@ class TestSupermodularGadgetAgainstBrute:
         best = min(score(w) for w in vertex_subsets(h.n))
         assert info.value == score(info.witness) == best
         assert info.witness == _union_of_minimizers(score, vertex_subsets(h.n))
-        assert g.offset == x.total() - sum(min(c, Fraction(0)) for c in charges)
+        assert Fraction(g.offset, g.scale) == x.total() - sum(min(c, Fraction(0)) for c in charges)
 
     @settings(max_examples=100, deadline=None)
     @given(charged_instances())
@@ -221,13 +227,17 @@ class TestSupermodularGadgetAgainstBrute:
             ref = interpret_gadget_cut(fresh, cut)
             assert (info.witness, info.edges_inside, info.value) \
                 == (ref.witness, ref.edges_inside, ref.value)
-            assert cut.capacity == ref.value + fresh.offset
+            assert cut.capacity == ref.value + Fraction(fresh.offset, fresh.scale)
 
 
     @settings(max_examples=100, deadline=None)
     @given(charged_instances(), st.lists(st.tuples(
         st.integers(0, 5), st.none() | st.builds(Fraction, st.integers(-4, 4), st.integers(1, 3))),
         max_size=6))
+    # built from ints, then a charge off the scale: the engine rescales its
+    # charges, weights and offset before the forced solve reads them back
+    @example((Hypergraph(3, [[0, 1], [1, 2], [0, 2]]), [1, 2, 1], [1, -1, 5]),
+             [(1, Fraction(1, 3)), (0, None)])
     def test_engine_revisions_match_fresh_builds(self, inst, revisions):
         # each step forces a vertex or recharges one; the warm engine's
         # read-back must be what a fresh build with the current charges
@@ -339,3 +349,38 @@ class TestArboricityGadget:
         assert g == build_supermodular_gadget(k4, EdgeVector.ones(k4.m), [density] * k4.n,
                                               forced=forced)
 
+
+
+class TestIntegerPath:
+    # ints stay ints from the build through the network to the read-back
+    def test_int_gadget_has_scale_one(self, h1):
+        g = build_supermodular_gadget(h1, [1, 2, 0], [2, -1, 3, 1])
+        assert g.scale == 1
+        assert all(c is INF or type(c) is int for _, _, c in g.network.arcs)
+        assert type(interpret_gadget_cut(g, min_st_cut(g.network)).value) is int
+        assert all(type(info.value) is int for info in forced_sweep(g))
+
+    def test_operations_make_no_fraction_in_the_gadgets(self, monkeypatch):
+        rng = random.Random(14)
+        cases = []
+        for _ in range(12):
+            n = rng.randint(2, 6)
+            h = random_hypergraph(rng, n, rng.randint(n - 1, 2 * n), 3, connected=True)
+            ints = EdgeVector.of([rng.randint(0, 4) for _ in range(h.m)])
+            point = EdgeVector.of([Fraction(rng.randint(0, 4), 4) for _ in range(h.m)])
+            cases.append((h, ints, point, rng.randint(1, 3)))
+
+        def run():
+            return [(min_partition(h, ints, k), strength(h, ints), reinforce(h, k, ints, ints),
+                     separate_polytope(h, point)) for h, ints, point, k in cases]
+
+        def no_fraction(*args):
+            raise AssertionError("the gadgets made a Fraction")
+
+        expected = run()
+        assert any(isinstance(sep, SetViolation) for *_, sep in expected)
+        monkeypatch.setattr("hypermat.gadgets.Fraction", no_fraction)
+        h = cases[0][0]
+        with pytest.raises(AssertionError, match="the gadgets made a Fraction"):
+            build_supermodular_gadget(h, [Fraction(1, 2)] * h.m, [1] * h.n)
+        assert run() == expected

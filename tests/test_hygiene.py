@@ -79,7 +79,9 @@ def test_readme_lower_level_names_are_exported():
 
 def test_gadget_cuts_take_one_path():
     # every gadget cut is solved and read back by gadgets.GadgetEngine:
-    # no other module solves a cut or reads a cut's source side
+    # no other module solves a cut or reads a cut's source side, and none
+    # builds a network or a gadget graph, so the integer form of their
+    # numbers stays behind these two modules
     stray = []
     for path in sorted(PACKAGE.glob("*.py")):
         if path.name in ("mincut.py", "gadgets.py"):
@@ -88,7 +90,7 @@ def test_gadget_cuts_take_one_path():
             if isinstance(node, ast.Call):
                 func = node.func
                 name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
-                if name in ("min_st_cut", "CutEngine"):
+                if name in ("min_st_cut", "CutEngine", "FlowNetwork", "GadgetGraph"):
                     stray.append(f"{path.name}:{node.lineno}: {name}()")
             elif isinstance(node, ast.Attribute) and node.attr == "source_side":
                 stray.append(f"{path.name}:{node.lineno}: .source_side")

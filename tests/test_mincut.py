@@ -73,6 +73,7 @@ class TestFlowNetwork:
     def test_int_caps_coerced(self):
         net = FlowNetwork(2, ((0, 1, 2),), 0, 1)
         assert net.arcs[0][2] == Fraction(2)
+        assert type(net.arcs[0][2]) is int
 
 
 class TestMinCut:
@@ -343,10 +344,11 @@ class TestSequence:
             to, slots = engine.to, [list(out) for out in engine.slots]
             engine._index()
             assert (engine.to, engine.slots) == (to, slots), f"trial {trial}"
-            # and the integer capacities must follow every rescale and revision
-            assert engine.int_caps == [-1 if c is INF else c * engine.scale
-                                       for c in engine.caps], f"trial {trial}"
-            assert all(type(c) is int for c in engine.int_caps), f"trial {trial}"
+            # and the integer capacities must follow every rescale and
+            # revision; hidden arcs stay at zero
+            assert engine.caps == [-1 if c is INF else c * engine.scale for _, _, c in current] \
+                + [0] * (len(engine.caps) - len(current)), f"trial {trial}"
+            assert all(type(c) is int for c in engine.caps), f"trial {trial}"
         assert all(count >= 5 for count in seen.values()), seen
 
 
@@ -454,7 +456,7 @@ class TestCutCheckSides:
         cut = engine.solve()
         crossing = next(i for i, (a, b, _) in enumerate(net.arcs)
                         if a in cut.source_side and b not in cut.source_side)
-        engine.int_caps[crossing] = -1
+        engine.caps[crossing] = -1
         with pytest.raises(AssertionError, match="minimum cut crosses an infinite arc"):
             engine.solve()
 
