@@ -13,9 +13,12 @@ one unit closer to the sink, marking dead ends as it backs out of them.
 In the networks this package builds every vertex has a large source
 charge, so a search from the source fans out to nearly every node while
 only a few still have room to the sink; the backward search touches
-those few.  A phase starts only while some arc out of the source has
-residual room: when none has, the flow is already maximum, and a warm
-re-solve whose revisions opened nothing runs no phase at all.
+those few.  The engine keeps the terminal arcs that still have room, out
+of the source and into the sink, as the flow and the revisions change
+them.  A phase starts only while one of the former is left: when none
+is, the flow is already maximum, and a warm re-solve whose revisions
+opened nothing runs no phase at all.  The backward search starts from
+the latter, not from every arc into the sink.
 
 The engine is incremental.  Callers revise only arcs incident to the
 source or the sink and solve again; the flow of the previous solve is
@@ -27,17 +30,22 @@ flow stays feasible and the minimum cuts stay the same; the reported
 capacity is the flow minus the accumulated shift, checked in integers
 against the capacities of the arcs the cut crosses.
 
-The reported source side is the set of nodes reachable from the source
-in the final residual network, found by one forward search after the
-last phase.  Any maximum flow saturates every minimum cut, so that set
-lies inside each minimum cut's source side and is itself one: it is the
-unique inclusion-minimal minimum cut, whichever maximum flow was reached
-and however the phases were layered.  Callers rely on that for
-deterministic tie-breaking.  The check of the cut's capacity walks the
+The reported cut is the set of nodes reachable from the source in the
+final residual network.  Any maximum flow saturates every minimum cut,
+so that set lies inside each minimum cut's source side and is itself
+one: it is the unique inclusion-minimal minimum cut, whichever maximum
+flow was reached and however the phases were layered.  Callers rely on
+that for deterministic tie-breaking.  By default one forward search
+after the last phase finds it, and the check of its capacity walks the
 side with fewer nodes: the arcs out of the reached nodes, or the arcs
-into the unreached ones.  In the gadgets either side can be the small
-one: a forced sweep often leaves only the source on its side, while a
-strength cut leaves a few vertices and their edges on the sink's.
+into the unreached ones.  A subclass that knows its network's shape may
+name the unreached nodes itself (`CutEngine._sink_side`); the engine
+asks for them only while most arcs out of the source still have room,
+when the forward search would walk nearly every node, and checks that
+no residual arc enters them before it sums the arcs that do.  In the
+gadgets either side can be the small one: a forced sweep often leaves
+only the source on its side, while a strength cut leaves a few vertices
+and their edges on the sink's.
 """
 
 from __future__ import annotations
@@ -133,12 +141,24 @@ class FlowNetwork:
         object.__setattr__(self, "arcs", tuple(checked))
 
 
+def _rational(num: int, scale: int) -> int | Fraction:
+    """num / scale, an int when it is whole."""
+    return num // scale if num % scale == 0 else Fraction(num, scale)
+
+
 @dataclass(frozen=True)
 class CutResult:
-    """A minimum s-t cut: the inclusion-minimal source side and its capacity."""
+    """The inclusion-minimal minimum s-t cut and its capacity.
 
-    source_side: frozenset[int]
-    capacity: Fraction
+    One side names the cut: source_side, the nodes reachable from the
+    source, or, when the engine's subclass named the unreached nodes
+    itself, sink_side, with source_side None.  capacity is an int when
+    it is whole and a Fraction otherwise.
+    """
+
+    source_side: frozenset[int] | None
+    capacity: int | Fraction
+    sink_side: frozenset[int] | None = None
 
 
 class NoFiniteCutError(RuntimeError):
@@ -157,14 +177,22 @@ class CutEngine:
     it.  `caps[i]` is the capacity of arc i (-1 for INF).  Every value is
     an integer over the common denominator `scale`, 1 for int capacities.
 
-    solve() layers each phase by residual distance to the sink, augments
-    along arcs one unit closer to it, and stops once no arc out of the
-    source has room or the sink's backward search cannot reach the source.
-    One forward search from the source then gives the inclusion-minimal
-    source side, and the capacities of the arcs leaving it must sum to
-    the flow minus the shift.  That sum runs over the smaller side of
-    the cut: the out-slots of the reached nodes when they are at most
-    half of all nodes, else the in-slots of the unreached ones.  Either
+    open_source holds the forward slots out of the source that still
+    have room, and open_sink the slots at the sink whose arc into it
+    still has room.  Augmenting paths and revisions keep both up to date.
+
+    solve() layers each phase by residual distance to the sink, searching
+    back from the arcs in open_sink, augments along arcs one unit closer
+    to it, and stops once open_source is empty or the backward search
+    cannot reach the source.  Then it finds the inclusion-minimal cut.
+    While at most half the arcs out of the source have room, or when
+    _sink_side() names no side, one forward search from the source gives
+    the source side.  The capacities of the arcs leaving it must sum to
+    the flow minus the shift.  That sum runs over the smaller side of the
+    cut: the out-slots of the reached nodes when they are at most half of
+    all nodes, else the in-slots of the unreached ones.  A side named by
+    _sink_side() is checked from its own slots: no residual arc may enter
+    it, and the arcs that do enter it must sum to the same value.  Either
     way an infinite arc across the cut fails the check.
 
     inf_from_source counts the infinite arcs leaving the source.  Only a
@@ -208,14 +236,26 @@ class CutEngine:
         self.shift = 0
         self.inf_from_source = sum(1 for tail, head, c in arcs
                                    if tail == s and head != s and c is INF)
-        # the terminal arcs of each vertex that absorb its shifts
-        self.source_arc: dict[int, int] = {}
-        self.sink_arc: dict[int, int] = {}
+        # the terminal arcs of each vertex that absorb its shifts, and the
+        # terminal slots that still have room
+        source_arc: dict[int, int] = {}
+        sink_arc: dict[int, int] = {}
+        open_source: set[int] = set()
+        open_sink: set[int] = set()
+        caps = self.caps
         for i, (tail, head, _) in enumerate(arcs):
-            if tail == s and head != t and head != s:
-                self.source_arc.setdefault(head, i)
-            elif head == t and tail != s and tail != t:
-                self.sink_arc.setdefault(tail, i)
+            if tail == s:
+                if caps[i]:
+                    open_source.add(2 * i)
+                if head != t and head != s:
+                    source_arc.setdefault(head, i)
+            if head == t:
+                if caps[i]:
+                    open_sink.add(2 * i + 1)
+                if tail != s and tail != t:
+                    sink_arc.setdefault(tail, i)
+        self.source_arc, self.sink_arc = source_arc, sink_arc
+        self.open_source, self.open_sink = open_source, open_sink
         self._index()
 
     def _index(self) -> None:
@@ -271,28 +311,47 @@ class CutEngine:
             self.inf_from_source += (cap is INF) - (self.caps[arc] == -1)
         res = self.res
         if cap is INF:
-            self.caps[arc] = res[2 * arc] = -1
-            return
-        d = cap.denominator
-        if self.scale % d:
-            self._rescale(self.scale * d // math.gcd(self.scale, d))
-        c = self.caps[arc] = cap.numerator * (self.scale // d)
-        room = c + self.extra[arc] - res[2 * arc + 1]
-        if room < 0:
-            # only arcs leaving s or entering t ever carry flow
-            if tail == s and head == t:
-                # a direct arc is a flow path of its own: drop the excess
-                res[2 * arc + 1] += room
-                self.flow += room
-            else:
-                partner = self._partner(head if tail == s else tail, tail == s)
-                self.extra[arc] -= room
-                self.extra[partner] -= room
-                if res[2 * partner] != -1:
-                    res[2 * partner] -= room
-                self.shift -= room
-            room = 0
+            self.caps[arc] = room = -1
+        else:
+            d = cap.denominator
+            if self.scale % d:
+                self._rescale(self.scale * d // math.gcd(self.scale, d))
+            c = self.caps[arc] = cap.numerator * (self.scale // d)
+            room = c + self.extra[arc] - res[2 * arc + 1]
+            if room < 0:
+                # only arcs leaving s or entering t ever carry flow
+                if tail == s and head == t:
+                    # a direct arc is a flow path of its own: drop the excess
+                    res[2 * arc + 1] += room
+                    self.flow += room
+                else:
+                    partner = self._partner(head if tail == s else tail, tail == s)
+                    self.extra[arc] -= room
+                    self.extra[partner] -= room
+                    if res[2 * partner] != -1:
+                        res[2 * partner] -= room
+                    self.shift -= room
+                    # the raised partner has room now
+                    if tail == s:
+                        self.open_sink.add(2 * partner + 1)
+                    else:
+                        self.open_source.add(2 * partner)
+                room = 0
         res[2 * arc] = room
+        if tail == s:
+            (self.open_source.add if room else self.open_source.discard)(2 * arc)
+        if head == t:
+            (self.open_sink.add if room else self.open_sink.discard)(2 * arc + 1)
+
+    def _sink_side(self) -> list[int] | None:
+        """The nodes unreachable from the source in the residual network, or None.
+
+        solve() asks for them after the last phase, while most arcs out of
+        the source still have room, and checks what it gets.  The base
+        engine knows nothing of its network's shape and names no side, so
+        solve() searches forward from the source instead.
+        """
+        return None
 
     def _infinite_reach(self) -> bytearray:
         seen = bytearray(self.n)
@@ -321,15 +380,23 @@ class CutEngine:
         if self.inf_from_source and self._infinite_reach()[t]:
             raise NoFiniteCutError()
         res, to, slots = self.res, self.to, self.slots
+        open_source, open_sink = self.open_source, self.open_sink
         flow = self.flow
         # with no residual arc out of s the flow is already maximum
-        while any(res[a] for a in slots[s]):
+        while open_source:
             # label nodes by residual distance to t, searching backwards:
             # slot b of w leads back to to[b] when to[b] -> w has room
             dist = [-1] * n
             dist[t] = 0
-            queue = [t]
+            queue = []
+            for b in open_sink:
+                v = to[b]
+                if dist[v] < 0:
+                    dist[v] = 1
+                    queue.append(v)
             for w in queue:  # the loop visits what it appends
+                if dist[s] >= 0:
+                    break  # every label below s's is complete
                 dv = dist[w] + 1
                 for b in slots[w]:
                     if res[b ^ 1] != 0:
@@ -337,8 +404,6 @@ class CutEngine:
                         if dist[v] < 0:
                             dist[v] = dv
                             queue.append(v)
-                if dist[s] >= 0:
-                    break  # every label below s's is complete
             if dist[s] < 0:
                 break
             # a shortest path exists, so the phase must augment along it
@@ -360,6 +425,11 @@ class CutEngine:
                         b = a ^ 1
                         if res[b] != -1:
                             res[b] += bottleneck
+                    # only the path's first and last arcs are terminal ones
+                    if not res[path[0]]:
+                        open_source.discard(path[0])
+                    if not res[path[-1]]:
+                        open_sink.discard(path[-1] ^ 1)
                     flow += bottleneck
                     path = []
                     v = s
@@ -384,6 +454,30 @@ class CutEngine:
                 v = to[a ^ 1]
                 it[v] += 1
         self.flow = flow
+        caps = self.caps
+
+        # while most arcs out of s have room a forward search would reach
+        # nearly every node: a subclass may name the few it would miss
+        sink = self._sink_side() if 2 * len(open_source) > len(slots[s]) else None
+        if sink is not None:
+            inside = bytearray(n)
+            for v in sink:
+                inside[v] = 1
+            assert inside[t] and not inside[s], "sink side misses the sink or holds the source"
+            # slot b of a sink-side node w whose far end to[b] is outside:
+            # the arc to[b] -> w (b odd) crosses the cut, and the residual
+            # arc to[b] -> w, slot b ^ 1, must be empty for either parity
+            capacity = 0
+            for w in sink:
+                for b in slots[w]:
+                    if not inside[to[b]]:
+                        if b & 1:
+                            c = caps[b >> 1]
+                            assert c != -1, "minimum cut crosses an infinite arc"
+                            capacity += c
+                        assert res[b ^ 1] == 0, "residual arc enters the sink side"
+            assert capacity == flow - self.shift, "max-flow / min-cut mismatch"
+            return CutResult(None, _rational(capacity, self.scale), frozenset(sink))
 
         # the nodes reachable from s in the final residual network
         seen = bytearray(n)
@@ -400,7 +494,6 @@ class CutEngine:
         # forward slots of reached nodes leading to unreached ones (k = 0),
         # or backward slots of unreached nodes leading to reached ones (k = 1)
         k = 0 if 2 * len(queue) <= n else 1
-        caps = self.caps
         capacity = 0
         for v in set(range(n)).difference(queue) if k else queue:
             for a in slots[v]:
@@ -409,7 +502,7 @@ class CutEngine:
                     assert c != -1, "minimum cut crosses an infinite arc"
                     capacity += c
         assert capacity == flow - self.shift, "max-flow / min-cut mismatch"
-        return CutResult(frozenset(queue), Fraction(capacity, self.scale))
+        return CutResult(frozenset(queue), _rational(capacity, self.scale))
 
 
 def min_st_cut(network: FlowNetwork) -> CutResult:

@@ -6,6 +6,9 @@ from hypermat import Hypergraph
 # CI selects this profile with --hypothesis-profile=ci: the same examples
 # on every run, and a failure prints the blob that replays it
 settings.register_profile("ci", derandomize=True, print_blob=True)
+# five times the examples of every test that sizes its run by
+# helpers.examples(); CI runs the min-cut and gadget tests under it
+settings.register_profile("deep", derandomize=True, print_blob=True, max_examples=500)
 
 
 @pytest.fixture

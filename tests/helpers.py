@@ -6,8 +6,20 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 
+from hypothesis import settings
+
 from hypermat import EdgeVector, Hypergraph
 from hypermat.brute import enum_partitions
+
+
+def examples(n: int) -> int:
+    """n hypothesis examples, scaled by the loaded profile's max_examples.
+
+    Hypothesis defaults to 100 examples, so this is n under the default
+    and `ci` profiles and 5n under `deep` (tests/conftest.py), which an
+    explicit max_examples would otherwise override.
+    """
+    return n * settings.default.max_examples // 100
 
 
 def random_hypergraph(rng: random.Random, n: int, m: int, max_size: int,
@@ -48,9 +60,11 @@ def reference_interpretation(g, cut):
 
     Returns (source_vertices, witness, edges_inside, value) from the
     gadget's public fields alone, for comparison with
-    interpret_gadget_cut, which reads only the cut's source side.
+    interpret_gadget_cut, which reads only the side the cut names.
     """
     side = cut.source_side
+    if side is None:
+        side = frozenset(range(g.network.node_count)) - cut.sink_side
     source = frozenset(v for v, node in g.vertex_nodes.items() if node in side)
     witness = frozenset(g.vertex_nodes) - source
     inside = frozenset(e.id for e in g.edges if witness.issuperset(e.vertices))

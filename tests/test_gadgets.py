@@ -1,5 +1,7 @@
+import gc
 import itertools
 import random
+import weakref
 from fractions import Fraction
 
 import pytest
@@ -21,9 +23,9 @@ from hypermat import (
     separate_polytope,
     strength,
 )
-from hypermat.gadgets import GadgetEngine, build_arboricity_gadget
+from hypermat.gadgets import GadgetEngine, _GadgetCuts, build_arboricity_gadget
 
-from helpers import random_hypergraph, reference_interpretation
+from helpers import examples, random_hypergraph, reference_interpretation
 
 
 def vertex_subsets(n, forced=None):
@@ -201,7 +203,7 @@ def _union_of_minimizers(score, subsets):
 class TestSupermodularGadgetAgainstBrute:
     # the cut's witness must be the inclusion-maximal minimizer: rank,
     # strength, arboricity and reinforcement break their ties by it
-    @settings(max_examples=100, deadline=None)
+    @settings(max_examples=examples(100), deadline=None)
     @given(charged_instances())
     def test_unforced_cut_is_brute_minimum(self, inst):
         h, x, charges = inst
@@ -213,7 +215,7 @@ class TestSupermodularGadgetAgainstBrute:
         assert info.witness == _union_of_minimizers(score, vertex_subsets(h.n))
         assert Fraction(g.offset, g.scale) == x.total() - sum(min(c, Fraction(0)) for c in charges)
 
-    @settings(max_examples=100, deadline=None)
+    @settings(max_examples=examples(100), deadline=None)
     @given(charged_instances())
     def test_forced_sweep_matches_single_forced_builds(self, inst):
         h, x, charges = inst
@@ -230,7 +232,7 @@ class TestSupermodularGadgetAgainstBrute:
             assert cut.capacity == ref.value + Fraction(fresh.offset, fresh.scale)
 
 
-    @settings(max_examples=100, deadline=None)
+    @settings(max_examples=examples(100), deadline=None)
     @given(charged_instances(), st.lists(st.tuples(
         st.integers(0, 5), st.none() | st.builds(Fraction, st.integers(-4, 4), st.integers(1, 3))),
         max_size=6))
@@ -262,10 +264,20 @@ def _read_back(info):
     return info.source_vertices, info.witness, info.edges_inside, info.value
 
 
+def _all_in_witness(h1):
+    # x = 1 everywhere ties every W holding 0 with V, so the minimum cut
+    # has the source alone on its side
+    g = build_supermodular_gadget(h1, EdgeVector.ones(h1.m), [Fraction(1)] * h1.n, forced=0)
+    cut = min_st_cut(g.network)
+    assert cut.source_side == {g.network.source}
+    assert interpret_gadget_cut(g, cut).witness == frozenset(range(h1.n))
+    return g, cut
+
+
 class TestReadBack:
     # interpret_gadget_cut reads only the cut's source side and the edges
     # meeting it; a walk over every edge must read the same sets and value
-    @settings(max_examples=150, deadline=None)
+    @settings(max_examples=examples(150), deadline=None)
     @given(charged_instances(), st.data())
     def test_matches_full_edge_walk(self, inst, data):
         h, x, charges = inst
@@ -282,13 +294,7 @@ class TestReadBack:
             assert _read_back(info) == reference_interpretation(fresh, min_st_cut(fresh.network))
 
     def _gadget(self, h1):
-        # x = 1 everywhere ties every W holding 0 with V, so the minimum cut
-        # has the source alone on its side
-        g = build_supermodular_gadget(h1, EdgeVector.ones(h1.m), [Fraction(1)] * h1.n, forced=0)
-        cut = min_st_cut(g.network)
-        assert cut.source_side == {g.network.source}
-        assert interpret_gadget_cut(g, cut).witness == frozenset(range(h1.n))
-        return g, cut
+        return _all_in_witness(h1)
 
     def test_edge_node_without_a_vertex(self, h1):
         g, cut = self._gadget(h1)
@@ -315,6 +321,149 @@ class TestReadBack:
         g, cut = self._gadget(h1)
         with pytest.raises(AssertionError, match="capacity identity failed"):
             interpret_gadget_cut(g, CutResult(cut.source_side, cut.capacity + Fraction(1, 2)))
+
+
+def _sink_form(g, cut, *dropped):
+    """The cut named by its sink side, less the nodes `dropped`."""
+    nodes = frozenset(range(g.network.node_count))
+    return CutResult(None, cut.capacity, nodes - cut.source_side - set(dropped))
+
+
+class TestSinkSideReadBack:
+    # the sink-side form of a cut, as the engine peels it, reads back what
+    # the source-side form does, and fails the same checks
+    @settings(max_examples=examples(150), deadline=None)
+    @given(charged_instances(), st.data())
+    def test_matches_source_side(self, inst, data):
+        h, x, charges = inst
+        forced = data.draw(st.none() | st.integers(0, h.n - 1))
+        ids = data.draw(st.none() | st.lists(st.integers(0, h.m - 1), unique=True)) \
+            if h.m else None
+        g = build_supermodular_gadget(h, x, charges, forced=forced, edge_ids=ids)
+        cut = min_st_cut(g.network)
+        flipped = _sink_form(g, cut)
+        assert interpret_gadget_cut(g, flipped) == interpret_gadget_cut(g, cut)
+        assert _read_back(interpret_gadget_cut(g, flipped)) == reference_interpretation(g, flipped)
+
+    def test_edge_node_without_a_vertex(self, h1):
+        g, cut = _all_in_witness(h1)
+        with pytest.raises(AssertionError, match="edge node on the source side without"):
+            interpret_gadget_cut(g, _sink_form(g, cut, g.edge_nodes[1]))
+
+    def test_vertex_without_its_edge_node(self, h1):
+        g, cut = _all_in_witness(h1)
+        # vertex 3 is in edges 1 and 2; only edge 2's node leaves with it
+        bad = _sink_form(g, cut, g.vertex_nodes[3], g.edge_nodes[2])
+        with pytest.raises(AssertionError, match="vertex on the source side but its edge node"):
+            interpret_gadget_cut(g, bad)
+
+    def test_forced_vertex_escaped(self, h1):
+        g, cut = _all_in_witness(h1)
+        # vertex 0 leaves W with both of its edges' nodes: the wiring holds
+        bad = _sink_form(g, cut, g.vertex_nodes[0], g.edge_nodes[0], g.edge_nodes[2])
+        with pytest.raises(AssertionError, match="forced vertex escaped the witness"):
+            interpret_gadget_cut(g, bad)
+
+    def test_capacity_identity(self, h1):
+        g, cut = _all_in_witness(h1)
+        bad = _sink_form(g, CutResult(cut.source_side, cut.capacity + Fraction(1, 2)))
+        with pytest.raises(AssertionError, match="capacity identity failed"):
+            interpret_gadget_cut(g, bad)
+
+
+# a charge above every vertex's incident weight (at most 14 edges of weight
+# at most 4) keeps that vertex's source arc open; the engine peels the
+# sink side of a cut while most are
+_HIGH = 60
+
+
+@st.composite
+def engine_runs(draw):
+    """A hypergraph with n <= 10, rational weights and charges, each charge
+    raised by 0 or _HIGH, and a list of (vertex, new charge or None to
+    force it) steps that raise theirs the same way."""
+    n = draw(st.integers(1, 10))
+    edges = draw(st.lists(
+        st.lists(st.integers(0, n - 1), min_size=1, max_size=min(n, 4), unique=True),
+        max_size=14))
+    rational = st.builds(Fraction, st.integers(-4, 4), st.integers(1, 3))
+    x = draw(st.lists(rational.map(abs), min_size=len(edges), max_size=len(edges)))
+    charge = st.tuples(rational, st.sampled_from([0, _HIGH])).map(sum)
+    charges = draw(st.lists(charge, min_size=n, max_size=n))
+    steps = draw(st.lists(st.tuples(st.integers(0, 9), st.none() | charge), max_size=8))
+    return Hypergraph(n, edges), EdgeVector.of(x), charges, steps
+
+
+class TestWarmEngineEitherSide:
+    def test_read_back_matches_fresh_builds(self, monkeypatch):
+        # each step forces a vertex or recharges one, and the warm engine's
+        # read-back, from whichever side it took, must be what a fresh build
+        # read back from its forward search gives; both sides must be taken
+        peel = _GadgetCuts._sink_side
+        peeled = solves = 0
+
+        def counted(engine):
+            nonlocal peeled
+            peeled += 1
+            return peel(engine)
+
+        monkeypatch.setattr(_GadgetCuts, "_sink_side", counted)
+
+        @settings(max_examples=examples(200), deadline=None)
+        @given(engine_runs())
+        def check(run):
+            nonlocal solves
+            h, x, charges, steps = run
+            engine = GadgetEngine(build_supermodular_gadget(h, x, charges))
+            charges, forced = list(charges), None
+            # the first step gives vertex 0 its own charge: the gadget as built
+            for v, charge in [(0, charges[0])] + steps:
+                v %= h.n
+                if charge is None:
+                    engine.force(v)
+                    forced = v
+                else:
+                    engine.set_charge(v, charge)
+                    charges[v] = charge
+                fresh = build_supermodular_gadget(h, x, charges, forced=forced)
+                assert engine.solve() == interpret_gadget_cut(fresh, min_st_cut(fresh.network))
+                solves += 1
+
+        check()
+        print(f"{peeled} of {solves} warm solves peeled the sink side")
+        assert 0 < peeled < solves
+
+    def test_peel_follows_flow_through_edge_nodes(self):
+        # vertices 0 and 1 have full source arcs, 2, 3 and 4 open ones.  0
+        # fills edge {0, 1}, so 1 feeds flow into edge {1, 2}, which meets
+        # the reached vertex 2: 1 is reached, and then so is 0, though the
+        # edge it feeds met no reached vertex when 0 was first looked at
+        h = Hypergraph(5, [[1, 2], [0, 1]])
+        g = build_supermodular_gadget(h, [10, 1], [1, 1, _HIGH, _HIGH, _HIGH])
+        engine = GadgetEngine(g)
+        info = engine.solve()
+        cuts = engine._engine
+        assert cuts.open_source == {4, 6, 8}  # the sink side was peeled
+        feeds = {cuts.to[a]: cuts.res[a ^ 1] for a in cuts.slots[g.vertex_nodes[1]]}
+        assert feeds[g.edge_nodes[0]] == 1 and feeds[g.edge_nodes[1]] == 0
+        assert info == interpret_gadget_cut(g, min_st_cut(g.network))
+        assert info.witness == frozenset()
+
+    def test_solved_engine_is_freed_without_the_cycle_collector(self, h1):
+        # nothing the engine keeps may point back at it: a cycle would hold
+        # every solved engine until the collector runs
+        engine = GadgetEngine(build_supermodular_gadget(h1, [1, 1, 1], [_HIGH] * h1.n, forced=0))
+        enabled = gc.isenabled()
+        gc.disable()
+        try:
+            assert engine.solve().witness == {0}
+            assert 2 * len(engine._engine.open_source) > h1.n  # the sink side was peeled
+            refs = [weakref.ref(engine), weakref.ref(engine._engine)]
+            del engine
+            assert [r() for r in refs] == [None, None]
+        finally:
+            if enabled:
+                gc.enable()
 
 
 class TestArboricityGadget:

@@ -15,6 +15,8 @@ from hypermat import (
     min_st_cut,
 )
 
+from helpers import examples
+
 
 def brute_cut(net: FlowNetwork):
     """Enumerate vertex sides; returns (value, minimal source side) or None
@@ -131,6 +133,15 @@ class TestMinCut:
         assert cut.capacity == 0
         # node 2 feeds the sink only, so it is not source-reachable
         assert 2 not in cut.source_side
+
+    def test_whole_capacity_is_an_int(self):
+        # at scale 1 the capacity stays an int; off it, a Fraction only when not whole
+        cut = min_st_cut(FlowNetwork(3, ((0, 1, 3), (1, 2, 2), (0, 2, 1)), 0, 2))
+        assert cut.capacity == 3 and type(cut.capacity) is int
+        halves = FlowNetwork(2, ((0, 1, Fraction(1, 2)), (0, 1, Fraction(3, 2))), 0, 1)
+        assert type(min_st_cut(halves).capacity) is int
+        assert min_st_cut(FlowNetwork(2, ((0, 1, Fraction(1, 2)),), 0, 1)).capacity \
+            == Fraction(1, 2)
 
     def test_mixed_denominators_exact(self):
         arcs = (
@@ -461,6 +472,61 @@ class TestCutCheckSides:
             engine.solve()
 
 
+class _NamedSink(CutEngine):
+    """A CutEngine whose sink side is named from outside, as a gadget's engine names its own."""
+
+    def __init__(self, network: FlowNetwork, side: list[int]) -> None:
+        super().__init__(network)
+        self.side = side
+
+    def _sink_side(self) -> list[int]:
+        return self.side
+
+
+# every arc out of s keeps room, so the engine asks for the sink side: {t}
+_OPEN = _fan(5, Fraction(3), Fraction(1, 2))
+
+
+class TestSinkSideCheck:
+    # the checks of TestCutCheckSides, on a side the engine did not search for
+    def test_named_side_against_brute(self):
+        cut = _NamedSink(_OPEN, [6]).solve()
+        assert cut.source_side is None and cut.sink_side == {6}
+        value, source_side = brute_cut(_OPEN)
+        assert cut.capacity == value and cut.sink_side == frozenset(range(7)) - source_side
+
+    def test_not_asked_while_most_source_arcs_are_full(self):
+        class Refusing(CutEngine):
+            def _sink_side(self):
+                raise AssertionError("asked for a sink side")
+
+        net = _fan(5, Fraction(1, 2), Fraction(3))
+        assert Refusing(net).solve() == min_st_cut(net)
+
+    def test_tampered_shift_fails_the_check(self):
+        engine = _NamedSink(_OPEN, [6])
+        assert engine.solve().sink_side == {6}
+        engine.shift += 1
+        with pytest.raises(AssertionError, match="max-flow / min-cut mismatch"):
+            engine.solve()
+
+    def test_infinite_crossing_arc_fails_the_check(self):
+        engine = _NamedSink(_OPEN, [6])
+        engine.solve()
+        engine.caps[5] = -1  # arc 1 -> t, saturated and crossing
+        with pytest.raises(AssertionError, match="minimum cut crosses an infinite arc"):
+            engine.solve()
+
+    def test_residual_arc_entering_the_sink_side_fails_the_check(self):
+        # arc s -> 1 still has room, so node 1 is reached from s
+        with pytest.raises(AssertionError, match="residual arc enters the sink side"):
+            _NamedSink(_OPEN, [6, 1]).solve()
+
+    def test_side_without_the_sink_fails_the_check(self):
+        with pytest.raises(AssertionError, match="sink side misses the sink"):
+            _NamedSink(_OPEN, [1]).solve()
+
+
 _CAPS = st.one_of(st.just(INF), st.just(Fraction(0)),
                   st.builds(Fraction, st.integers(0, 8), st.integers(1, 4)))
 
@@ -491,7 +557,7 @@ def _check_against_brute(net: FlowNetwork, solve) -> None:
 
 
 class TestAgainstBruteProperty:
-    @settings(max_examples=300, deadline=None)
+    @settings(max_examples=examples(300), deadline=None)
     @given(revised_networks())
     # every arc out of s has capacity 0: the first phase finds nothing to do
     @example((FlowNetwork(4, ((0, 1, Fraction(0)), (0, 2, Fraction(0)), (1, 3, INF),
@@ -513,3 +579,32 @@ class TestAgainstBruteProperty:
         revised = _replay(net, arcs)
         _check_against_brute(revised, engine.solve)
         _check_against_brute(revised, lambda: min_st_cut(revised))
+
+
+def _open_terminals(engine: CutEngine) -> tuple[set[int], set[int]]:
+    """The terminal slots with room, recomputed from the residuals."""
+    arcs = range(len(engine.caps))
+    return ({2 * i for i in arcs if engine.tails[i] == engine.s and engine.res[2 * i]},
+            {2 * i + 1 for i in arcs if engine.heads[i] == engine.t and engine.res[2 * i]})
+
+
+class TestOpenTerminals:
+    # the kept record of terminal arcs with room decides when phases stop,
+    # where they start and which side of the cut is taken
+    @settings(max_examples=examples(200), deadline=None)
+    @given(revised_networks(), st.lists(st.tuples(st.integers(0, 20), _CAPS), max_size=4))
+    def test_record_follows_flow_and_revisions(self, case, more):
+        net, revision = case
+        engine = CutEngine(net)
+        terminal = [i for i, (a, b, _) in enumerate(net.arcs) if {a, b} & {net.source, net.sink}]
+        revisions = ([revision] if revision else []) \
+            + [(terminal[k % len(terminal)], cap) for k, cap in more if terminal]
+        for arc, cap in [(None, None)] + revisions:
+            if arc is not None:
+                engine.set_capacity(arc, cap)
+                assert (engine.open_source, engine.open_sink) == _open_terminals(engine)
+            try:
+                engine.solve()
+            except NoFiniteCutError:
+                pass
+            assert (engine.open_source, engine.open_sink) == _open_terminals(engine)
