@@ -12,8 +12,18 @@ So a hyperforest F stays one with an edge e exactly when F, e and a
 second copy of e can each hold a vertex of its own.  Rank, independence
 and the greedy forest keep such a matching of edges to vertices and
 test each edge by two augmenting-path searches, in integers and with no
-cut.  Polytope separation minimizes a set function by min cuts on the
-selection gadget.  No enumeration happens here.
+cut.
+
+The same condition with surplus p and integer demands q_e reads
+q(F') <= p (|V(F')| - 1) for every nonempty edge family F'.  One
+gathering pass tests it with no cut: it keeps each accepted edge's
+demand split over its own vertices, at most p units on a vertex, and
+moves free units onto the next edge by breadth-first bulk moves (the
+pebble game of Lee and Streinu).  Polytope membership is that test at
+surplus x's common denominator, and strength and arboricity certify
+their Newton rounds with it.  A point it rejects is separated by
+minimizing a set function by min cuts on the selection gadget.  No
+enumeration happens here.
 """
 
 from __future__ import annotations
@@ -193,6 +203,157 @@ class _Matching:
         assert all(reached), "the trimming missed an edge"
 
 
+class _Gathering:
+    """Accepted edge demands, each split in integer units over its own vertices.
+
+    Every vertex holds at most `cap` units.  The accepted edge in slot f
+    keeps amount[f] units, split[f][v] > 0 of them on each vertex v in
+    its split, and holders[v] is the set of slots with units on v;
+    free[v] is cap less the units on v.
+
+    An edge takes t units once cap + t free units lie on its vertices.
+    Each family F' holding it then keeps y(F') <= cap (|V(F')| - 1) for
+    the accepted amounts y: the rest of F' sits on V(F'), where at least
+    cap + t units are free.  Free units are gathered onto the edge by
+    breadth-first bulk moves, each shifting a path's bottleneck of units
+    from one holder to the next.  This is the pebble game of Lee and
+    Streinu (Discrete Math. 308, 2008) at k = l = cap, carried to
+    hypergraphs by Streinu and Theran (European J. Combin. 30, 2009).
+    When no search reaches a free unit, every slot with units on the
+    reached set R lies inside R and they hold cap |R| less the units
+    free on the edge, which bounds what it can take.
+
+    The checks raise AssertionError, the error of the certificate checks
+    elsewhere in the package, and do not depend on assertions being on.
+    """
+
+    def __init__(self, n: int, cap: int) -> None:
+        self.cap = cap
+        self.free = [cap] * n
+        self.holders: list[set[int]] = [set() for _ in range(n)]
+        self.slots: list[tuple[int, ...]] = []
+        self.split: list[dict[int, int]] = []
+        self.amount: list[int] = []
+
+    def _search(self, verts: tuple[int, ...]) -> tuple[int, dict]:
+        """Breadth-first search from verts for a vertex outside them with free units.
+
+        Returns that vertex, or -1 when none is reached, and the parent
+        map of the reached vertices: (previous vertex, slot moving units
+        off it), None for the vertices of verts.
+        """
+        free, holders, slots = self.free, self.holders, self.slots
+        parent: dict = dict.fromkeys(verts)
+        queue = list(verts)
+        for v in queue:
+            for f in holders[v]:
+                for w in slots[f]:
+                    if w not in parent:
+                        parent[w] = (v, f)
+                        if free[w]:
+                            return w, parent
+                        queue.append(w)
+        return -1, parent
+
+    def add(self, verts: tuple[int, ...], demand: int) -> int:
+        """Accept as many units of an edge on verts as fit, up to demand, and return that amount.
+
+        Short of the demand, the reached set of the failed search holds a
+        family that, with the edge, breaks y(F') <= cap (|V(F')| - 1),
+        checked by counting the accepted amounts.
+        """
+        cap, free, split, holders = self.cap, self.free, self.split, self.holders
+        need = cap + demand
+        gathered = sum([free[v] for v in verts])
+        while gathered < need:
+            w, parent = self._search(verts)
+            if w < 0:
+                break
+            delta = min(free[w], need - gathered)
+            u = w
+            while parent[u] is not None:
+                u, f = parent[u]
+                delta = min(delta, split[f][u])
+            free[w] -= delta
+            while parent[w] is not None:
+                v, f = parent[w]
+                units = split[f]
+                units[v] -= delta
+                if not units[v]:
+                    del units[v]
+                    holders[v].discard(f)
+                if w in units:
+                    units[w] += delta
+                else:
+                    units[w] = delta
+                    holders[w].add(f)
+                w = v
+            free[w] += delta
+            gathered += delta
+        amount = max(0, min(demand, gathered - cap))
+        if sum([free[v] for v in verts]) < cap + amount:
+            raise AssertionError("an accepted edge gathered too few free units")
+        if amount < demand:
+            family = {f for v in parent for f in holders[v]}
+            union = frozenset(verts).union(*[self.slots[f] for f in family])
+            if sum([self.amount[f] for f in family]) + demand <= cap * (len(union) - 1):
+                raise AssertionError("a rejected edge has no sparsity violator")
+        if amount:
+            f = len(self.slots)
+            units = {}
+            left = amount
+            for v in verts:
+                take = min(free[v], left)
+                if take:
+                    free[v] -= take
+                    units[v] = take
+                    holders[v].add(f)
+                    left -= take
+            self.slots.append(verts)
+            self.split.append(units)
+            self.amount.append(amount)
+        return amount
+
+    def certify(self) -> None:
+        """Check that each slot's units sum to its amount on its own vertices and no load passes cap."""
+        load = [0] * len(self.free)
+        for verts, units, amount in zip(self.slots, self.split, self.amount):
+            if sum(units.values()) != amount or not all([v in verts and units[v] > 0 for v in units]):
+                raise AssertionError("an accepted edge's units leave its split")
+            for v, u in units.items():
+                load[v] += u
+        if any([load[v] > self.cap or load[v] + f != self.cap for v, f in enumerate(self.free)]):
+            raise AssertionError("a vertex load passes its capacity")
+
+
+def _gathers(h: Hypergraph, cap: int, demands: Sequence[int], goal: int) -> bool:
+    """Whether the edges, taken in id order, accept goal units of their demands.
+
+    Each edge takes what fits of its demand.  The accepted amounts y keep
+    y(F') <= cap (|V(F')| - 1) for every nonempty edge family F', and
+    their total is the most that any such y accepts, a polymatroid's
+    rank.  With the whole demand as goal this asks whether every F' has
+    demand(F') <= cap (|V(F')| - 1); with cap (|V| - 1) as goal, whether
+    the rank reaches that bound.  No goal above cap (|V| - 1), the bound
+    at F' = E, can be met, and that screen costs one sum.
+    """
+    left = sum(demands)
+    if goal > cap * (h.n - 1) or left < goal:
+        return False
+    gathering = _Gathering(h.n, cap)
+    total = 0
+    for e, demand in enumerate(demands):
+        if total >= goal:
+            break
+        if demand:
+            left -= demand
+            total += gathering.add(h.edges[e].vertices, demand)
+            if total + left < goal:
+                return False
+    gathering.certify()
+    return True
+
+
 def _find(root: list[int], v: int) -> int:
     while root[v] != v:
         root[v] = root[root[v]]
@@ -311,10 +472,13 @@ def separate_polytope(h: Hypergraph, x: EdgeVector) -> SeparationOutcome:
     """Exact separation for the hyperforest polytope.
 
     Box constraints are screened first (x >= 0, x <= 1, and x = 0 on
-    singleton edges, whose rank is zero).  Then one network, re-solved
-    with each vertex forced into W in turn, finds the minimum of
-    |W| - x(E[W]) over nonempty vertex sets W; a
-    minimum below 1 yields the most violated induced-set inequality
+    singleton edges, whose rank is zero).  With x = nums / scale, the
+    point lies in the polytope exactly when every edge family F' has
+    nums(F') <= scale (|V(F')| - 1); when x(E) <= |V| - 1, the gathering
+    pass tests that with no cut.  Where it rejects, one network,
+    re-solved with each vertex forced into W in turn, finds the minimum
+    of |W| - x(E[W]) over nonempty vertex sets W.  That minimum lies
+    below 1 and yields the most violated induced-set inequality
     x(E[W]) <= |W| - 1, also returned in partition form.
     """
     x.require_length(h.m, "point")
@@ -327,20 +491,22 @@ def separate_polytope(h: Hypergraph, x: EdgeVector) -> SeparationOutcome:
             return BoundViolation(edge=e, value=x[e], upper=Fraction(1))
     if not h.n:
         return InPolytope()
+    nums, scale = x._integers()
+    if _gathers(h, scale, nums, sum(nums)):
+        return InPolytope()
     # charge 1 per vertex makes the polytope gadget: its cut identity reads
     # |W| - x(E[W]) + x(E), all over x's common denominator `scale` here;
-    # the first minimum in vertex order wins
-    nums, scale = x._integers()
+    # the first minimum in vertex order wins, and it lies below 1
     g = build_supermodular_gadget(h, nums, [scale] * h.n, forced=0)
     best = min(forced_sweep(g), key=lambda info: info.value)
-    if best.value < scale:
-        witness = best.witness
-        edge_set = h.induced_edges(None, witness)
-        lhs = x.sum_over(edge_set)
-        rhs = len(witness) - 1
-        assert lhs > rhs, "violation reported but inequality holds"
-        rest = [(v,) for v in range(h.n) if v not in witness]
-        partition = Partition(h.n, tuple([tuple(sorted(witness))] + rest))
-        return SetViolation(witness=witness, lhs=lhs, rhs=rhs,
-                            edge_set=edge_set, partition=partition)
-    return InPolytope()
+    if best.value >= scale:
+        raise AssertionError("the sweep certifies a point the gathering pass rejected")
+    witness = best.witness
+    edge_set = h.induced_edges(None, witness)
+    lhs = x.sum_over(edge_set)
+    rhs = len(witness) - 1
+    assert lhs > rhs, "violation reported but inequality holds"
+    rest = [(v,) for v in range(h.n) if v not in witness]
+    partition = Partition(h.n, tuple([tuple(sorted(witness))] + rest))
+    return SetViolation(witness=witness, lhs=lhs, rhs=rhs,
+                        edge_set=edge_set, partition=partition)

@@ -11,6 +11,13 @@ Both iterations evaluate their subproblem at the current candidate ratio
 and re-anchor on the optimizer until the subproblem value hits zero
 exactly; each runs at most |V| rounds.  All arithmetic is rational, so
 termination tests are exact equalities, not tolerances.
+
+A round's ratio is certified with no cut when the gathering pass
+(`matroid._gathers`) accepts: for arboricity every edge's demand fits,
+for strength the accepted total reaches its bound.  Only when the pass
+rejects does the round run its min cuts, which find the improving
+optimizer; a cut that certified the ratio instead would contradict the
+pass, and raises.
 """
 
 from __future__ import annotations
@@ -21,6 +28,7 @@ from fractions import Fraction
 
 from .core import EdgeVector, Hypergraph, LoopPresentError, Partition
 from .gadgets import GadgetEngine, build_arboricity_gadget, forced_sweep
+from .matroid import _gathers
 from .partition_oracle import min_partition
 
 
@@ -55,10 +63,15 @@ class ArboricityResult:
 def strength(h: Hypergraph, capacities: EdgeVector | None = None) -> StrengthResult:
     """Exact strength under nonnegative rational edge capacities (default 1).
 
-    Newton iteration from the all-singletons partition: each round asks
-    the partition oracle for the most violated inequality at the current
-    ratio; a zero optimum certifies the ratio, otherwise the optimizer
-    becomes the new anchor and the ratio strictly drops.
+    Newton iteration from the all-singletons partition.  At ratio p/q
+    and capacities a/s, each round first gathers q a_e units per edge,
+    partly where only part fits, on capacity p s per vertex.  The
+    accepted total is then the polymatroid rank (Edmonds), the minimum
+    over partitions P of q a(crossing P) + p s (|V| - |P|), so it reaches
+    p s (|V| - 1) exactly when no partition beats the ratio, which
+    certifies it.  Otherwise the partition oracle finds the most violated
+    inequality, and its optimizer becomes the new anchor, with a strictly
+    lower ratio.
     """
     if h.n < 2:
         raise ValueError("strength needs at least two vertices")
@@ -72,15 +85,22 @@ def strength(h: Hypergraph, capacities: EdgeVector | None = None) -> StrengthRes
         # (or edgeless) under the positive capacities, and no tree packs
         return StrengthResult(sigma=Fraction(0), critical_partition=anchor,
                               integer_packing=0, iterations=0)
+    nums, scale = c._integers()
     iterations = 0
     while True:
         iterations += 1
         assert iterations <= h.n, "Newton iteration exceeded |V| rounds"
-        res = min_partition(h, c, ratio)
-        if res.value == 0:
+        # at ratio p/q and capacities a/scale, the packing reaches
+        # p scale (|V| - 1) exactly when no partition beats the ratio
+        p, q = ratio.numerator, ratio.denominator
+        cap = p * scale
+        if _gathers(h, cap, [q * a for a in nums], cap * (h.n - 1)):
             assert ratio == c.sum_over(h.cross_edges(None, anchor)) / (len(anchor.blocks) - 1)
             return StrengthResult(sigma=ratio, critical_partition=anchor,
                                   integer_packing=math.floor(ratio), iterations=iterations)
+        res = min_partition(h, c, ratio)
+        if not res.violated:
+            raise AssertionError("the partition oracle certifies a ratio the gathering pass rejected")
         cand = res.partition
         blocks = len(cand.blocks)
         assert blocks >= 2, "negative value at the one-block partition"
@@ -97,11 +117,14 @@ def strength(h: Hypergraph, capacities: EdgeVector | None = None) -> StrengthRes
 def arboricity(h: Hypergraph) -> ArboricityResult:
     """Exact arboricity; rejects singleton edges, returns k = 0 when edgeless.
 
-    Newton iteration from X = V: each round minimizes
-    density * |W| - |E[W]| by min cut.  One unforced cut decides the
-    round whenever its inclusion-maximal minimizer is nonempty (that
-    minimizer is then the exact densest improving set); otherwise a
-    per-vertex sweep of forced cuts settles termination exactly.
+    Newton iteration from X = V.  At density p/q each round first
+    gathers q units per edge on capacity p per vertex; when every edge
+    fits, no set is denser than the anchor, which certifies the density.
+    Otherwise the round minimizes density * |W| - |E[W]| by min cut.
+    One unforced cut decides the round whenever its inclusion-maximal
+    minimizer is nonempty (that minimizer is then the exact densest
+    improving set); otherwise a per-vertex sweep of forced cuts settles
+    termination exactly.
     """
     for e in h.edges:
         if e.is_loop:
@@ -117,6 +140,14 @@ def arboricity(h: Hypergraph) -> ArboricityResult:
     while True:
         iterations += 1
         assert iterations <= h.n, "Newton iteration exceeded |V| rounds"
+        # at density p/q, no set is denser than the anchor, whose ratio
+        # is the density, exactly when every edge family F has
+        # q |F| <= p (|V(F)| - 1)
+        q = density.denominator
+        if _gathers(h, density.numerator, [q] * h.m, q * h.m):
+            assert density == Fraction(len(h.induced_edges(None, witness)), len(witness) - 1)
+            return ArboricityResult(rho=density, k=math.ceil(density), witness=witness,
+                                    iterations=iterations)
         info = GadgetEngine(build_arboricity_gadget(h, density)).solve()
         cand = info.witness
         if cand:
@@ -130,13 +161,8 @@ def arboricity(h: Hypergraph) -> ArboricityResult:
                        key=lambda info: info.value)
             assert best.value > 0
             if best.value == density:
-                # only singletons attain the minimum: no set beats the
-                # current anchor, whose ratio equals the density exactly
-                k = math.ceil(density)
-                assert density == Fraction(len(h.induced_edges(None, witness)),
-                                           len(witness) - 1)
-                return ArboricityResult(rho=density, k=k, witness=witness,
-                                        iterations=iterations)
+                # only singletons would attain the minimum
+                raise AssertionError("the sweep certifies a density the gathering pass rejected")
             cand = best.witness
         size = len(cand)
         assert size >= 2, "improving set cannot be a singleton"

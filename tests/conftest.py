@@ -7,7 +7,8 @@ from hypermat import Hypergraph
 # on every run, and a failure prints the blob that replays it
 settings.register_profile("ci", derandomize=True, print_blob=True)
 # five times the examples of every test that sizes its run by
-# helpers.examples(); CI runs the min-cut and gadget tests under it
+# helpers.examples(); CI runs the min-cut, gadget, gathering, packing and
+# matroid tests under it
 settings.register_profile("deep", derandomize=True, print_blob=True, max_examples=500)
 
 

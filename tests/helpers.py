@@ -7,6 +7,7 @@ import random
 from fractions import Fraction
 
 from hypothesis import settings
+from hypothesis import strategies as st
 
 from hypermat import EdgeVector, Hypergraph
 from hypermat.brute import enum_partitions
@@ -20,6 +21,20 @@ def examples(n: int) -> int:
     explicit max_examples would otherwise override.
     """
     return n * settings.default.max_examples // 100
+
+
+@st.composite
+def hypergraphs(draw, min_n: int = 1, min_size: int = 1, max_edges: int = 9) -> Hypergraph:
+    """Hypergraphs at min_n <= n <= 7 with edges of at least min_size vertices.
+
+    A vertex set picked twice is a parallel edge; isolated vertices and
+    disconnected inputs come up too.
+    """
+    n = draw(st.integers(min_n, 7))
+    vertex_sets = draw(st.lists(st.lists(st.integers(0, n - 1), min_size=min(min_size, n),
+                                         max_size=n, unique=True), min_size=1, max_size=max_edges))
+    picks = draw(st.lists(st.integers(0, len(vertex_sets) - 1), max_size=max_edges))
+    return Hypergraph(n, [vertex_sets[i] for i in picks])
 
 
 def random_hypergraph(rng: random.Random, n: int, m: int, max_size: int,

@@ -1,0 +1,170 @@
+"""The gathering pass (matroid._Gathering) and the three answers it certifies.
+
+The pass accepts edge demands onto vertex capacities while every edge
+family F keeps demand(F) <= cap (|V(F)| - 1).  Arboricity, strength and
+separation run it before their cuts and fall back to them when it
+rejects.  These tests compare the pass with enumeration, pin the
+fallback's witnesses, check that an accepting run makes no cut, and
+break the pass's certificates.  tests/test_packing.py and
+tests/test_matroid.py compare the three answers with enumeration.
+"""
+
+import itertools
+import os
+import random
+import subprocess
+import sys
+from fractions import Fraction
+from pathlib import Path
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from hypermat import (
+    CutEngine,
+    EdgeVector,
+    Hypergraph,
+    InPolytope,
+    Partition,
+    SetViolation,
+    arboricity,
+    separate_polytope,
+    strength,
+)
+from hypermat.brute import brute_min_partition
+from hypermat.matroid import _Gathering, _gathers
+
+from helpers import examples, hypergraphs, random_hypergraph
+
+SRC = Path(__file__).resolve().parents[1] / "src"
+
+
+def _no_cut(*args, **kwargs):
+    raise AssertionError("a min cut ran")
+
+
+def _sparse(h, cap, demands):
+    """Enumeration: every nonempty vertex set W has demand(E[W]) <= cap (|W| - 1)."""
+    for r in range(1, h.n + 1):
+        for w in itertools.combinations(range(h.n), r):
+            if sum([demands[e] for e in h.induced_edges(None, w)]) > cap * (r - 1):
+                return False
+    return True
+
+
+class TestAgainstEnumeration:
+    @settings(max_examples=examples(200), deadline=None)
+    @given(hypergraphs(), st.integers(0, 6), st.data())
+    def test_whole_demand(self, h, cap, data):
+        demands = data.draw(st.lists(st.integers(0, 8), min_size=h.m, max_size=h.m))
+        assert _gathers(h, cap, demands, sum(demands)) == _sparse(h, cap, demands)
+
+    @settings(max_examples=examples(200), deadline=None)
+    @given(hypergraphs(min_n=2), st.integers(1, 6), st.data())
+    def test_packing_goal(self, h, cap, data):
+        # the packing reaches cap (|V| - 1) exactly when no partition P has
+        # demand(crossing P) < cap (|P| - 1)
+        demands = data.draw(st.lists(st.integers(0, 8), min_size=h.m, max_size=h.m))
+        value, _ = brute_min_partition(h, EdgeVector.of(demands), Fraction(cap))
+        assert _gathers(h, cap, demands, cap * (h.n - 1)) == (value == 0)
+
+
+class TestFallback:
+    """Instances whose first round rejects: the cuts answer, as before the pass."""
+
+    def test_arboricity_three_rounds(self):
+        h = Hypergraph(5, [[2, 0], [2, 0], [3, 4, 0, 1], [0, 3], [1, 0, 3], [2, 0], [2, 3],
+                           [4, 0, 3]])
+        res = arboricity(h)
+        assert (res.rho, res.k, res.witness, res.iterations) == (3, 3, frozenset({0, 2}), 3)
+
+    def test_strength_three_rounds(self):
+        h = Hypergraph(7, [[6, 0, 3], [2, 5, 3, 6], [1, 3], [4, 3, 2, 1], [4, 6, 0], [5, 1],
+                           [6, 0, 5], [0, 2, 3, 6]])
+        caps = EdgeVector.of([1, 3, 0, "1/3", 0, "1/2", 3, "1/3"])
+        res = strength(h, caps)
+        assert res.sigma == Fraction(1, 3) and res.integer_packing == 0
+        assert res.critical_partition == Partition(7, ((0, 1, 2, 3, 5, 6), (4,)))
+        assert res.iterations == 3
+
+    def test_separation_past_the_screen(self):
+        h = Hypergraph(8, [[5, 6, 7, 4], [7, 6], [0, 1], [5, 3], [6, 4], [3, 0], [3, 7, 2, 1],
+                           [2, 6, 0], [7, 1], [0, 6], [3, 6], [2, 6]])
+        x = EdgeVector.of(["2/3", 0, "2/3", "2/3", "2/3", 1, "2/3", "1/3", 1, 1, "1/3", 0])
+        assert x.total() <= h.n - 1
+        assert separate_polytope(h, x) == SetViolation(
+            witness=frozenset({0, 3, 6}), lhs=Fraction(7, 3), rhs=2,
+            edge_set=frozenset({5, 9, 10}),
+            partition=Partition(8, ((0, 3, 6), (1,), (2,), (4,), (5,), (7,))))
+
+
+class TestNoCut:
+    def test_crit9_shape_certifies_without_a_cut(self, monkeypatch):
+        h = random_hypergraph(random.Random(0xC9), 60, 300, max_size=6, connected=True)
+        monkeypatch.setattr(CutEngine, "solve", _no_cut)
+        res = arboricity(h)
+        assert res.rho == Fraction(300, 59) and res.witness == frozenset(range(60))
+        assert res.iterations == 1
+        res = strength(h)
+        assert res.sigma == Fraction(300, 59) and res.critical_partition == Partition.singletons(60)
+        assert res.iterations == 1
+        inside = EdgeVector.constant(h.m, Fraction(59, 300))
+        assert separate_polytope(h, inside) == InPolytope()
+
+
+class TestCertificates:
+    def _two_edges(self):
+        gathering = _Gathering(3, 2)
+        assert gathering.add((0, 1), 2) == 2 and gathering.add((1, 2), 2) == 2
+        gathering.certify()
+        return gathering
+
+    def test_split_off_its_edge(self):
+        gathering = self._two_edges()
+        # vertex 2 lies outside the edge {0, 1}
+        gathering.split[0] = {2: 2}
+        with pytest.raises(AssertionError, match="leave its split"):
+            gathering.certify()
+
+    def test_split_short_of_its_amount(self):
+        gathering = self._two_edges()
+        gathering.amount[1] += 1
+        with pytest.raises(AssertionError, match="leave its split"):
+            gathering.certify()
+
+    def test_load_past_capacity(self):
+        gathering = self._two_edges()
+        gathering.free[0] += 1
+        with pytest.raises(AssertionError, match="load passes its capacity"):
+            gathering.certify()
+
+    def test_forged_rejection(self, monkeypatch):
+        gathering = _Gathering(3, 2)
+        assert gathering.add((1, 2), 2) == 2 and gathering.free == [2, 0, 2]
+        # a search that gives up at once, though vertex 2 has free units:
+        # {1, 2} and {0, 1} fit on three vertices, so nothing is violated
+        monkeypatch.setattr(_Gathering, "_search", lambda self, verts: (-1, dict.fromkeys(verts)))
+        with pytest.raises(AssertionError, match="no sparsity violator"):
+            gathering.add((0, 1), 2)
+
+    def test_forged_gather(self, monkeypatch):
+        # a search that "finds" a unit already on the edge counts it twice
+        monkeypatch.setattr(_Gathering, "_search", lambda self, verts: (verts[0], dict.fromkeys(verts)))
+        with pytest.raises(AssertionError, match="gathered too few"):
+            _Gathering(3, 2).add((0, 1), 3)
+
+    def test_checks_survive_optimize(self):
+        code = (
+            "from hypermat.matroid import _Gathering\n"
+            "g = _Gathering(3, 2)\n"
+            "g.add((0, 1), 2); g.add((1, 2), 2)\n"
+            "g.split[1] = {0: 2}\n"
+            "try:\n"
+            "    g.certify()\n"
+            "except AssertionError as exc:\n"
+            "    print('raised:', exc)\n"
+        )
+        out = subprocess.run([sys.executable, "-O", "-c", code], capture_output=True, text=True,
+                             env={**os.environ, "PYTHONPATH": str(SRC)}, check=True)
+        assert out.stdout == "raised: an accepted edge's units leave its split\n"

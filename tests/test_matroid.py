@@ -29,7 +29,7 @@ from hypermat.brute import (
 )
 from hypermat.matroid import _Matching
 
-from helpers import random_hypergraph, random_point, random_weights
+from helpers import examples, hypergraphs, random_hypergraph, random_point, random_weights
 
 
 def _no_cut(*args, **kwargs):
@@ -299,19 +299,17 @@ class TestMaxWeightHyperforest:
 
 @st.composite
 def point_instances(draw):
-    """(h, x) at n <= 6 with parallel edges, loops only at n = 1; x mostly in [0, 1]."""
-    n = draw(st.integers(1, 6))
-    edges = draw(st.lists(
-        st.lists(st.integers(0, n - 1), min_size=min(n, 2), max_size=n, unique=True), max_size=8))
+    """(h, x) at n <= 7 with parallel edges and loops at x = 0; x mostly in [0, 1]."""
+    h = draw(hypergraphs(max_edges=8))
     # weighted towards 1, where the set inequalities bind
     coordinate = st.sampled_from([Fraction(v) for v in
                                   ("0", "1/3", "1/2", "2/3", "3/4", "1", "1", "1", "1", "5/4")])
-    x = draw(st.lists(coordinate, min_size=len(edges), max_size=len(edges)))
-    return Hypergraph(n, edges), EdgeVector.of(x)
+    x = draw(st.lists(coordinate, min_size=h.m, max_size=h.m))
+    return h, EdgeVector.of([0 if e.is_loop else v for e, v in zip(h.edges, x)])
 
 
 class TestSeparation:
-    @settings(max_examples=200, deadline=None)
+    @settings(max_examples=examples(200), deadline=None)
     @given(point_instances())
     def test_matches_enumeration(self, inst):
         h, x = inst

@@ -16,7 +16,7 @@ from hypermat import (
 )
 from hypermat.brute import brute_arboricity, brute_strength
 
-from helpers import random_hypergraph, random_weights
+from helpers import examples, hypergraphs, random_hypergraph, random_weights
 
 
 class TestStrength:
@@ -132,18 +132,12 @@ class TestArboricity:
             assert Fraction(len(inside), len(res.witness) - 1) == expected
 
 
-def _hypergraphs(min_size):
-    """Hypergraphs at 2 <= n <= 6 with edges of at least min_size vertices, parallel copies included."""
-    return st.integers(2, 6).flatmap(lambda n: st.builds(Hypergraph, st.just(n), st.lists(
-        st.lists(st.integers(0, n - 1), min_size=min_size, max_size=n, unique=True), max_size=8)))
-
-
 class TestAgainstBruteProperty:
-    @settings(max_examples=150, deadline=None)
-    @given(_hypergraphs(1), st.data())
+    @settings(max_examples=examples(150), deadline=None)
+    @given(hypergraphs(min_n=2), st.data())
     def test_strength_matches_enumeration(self, h, data):
         caps = data.draw(st.none() | st.lists(
-            st.builds(Fraction, st.integers(0, 6), st.integers(1, 3)),
+            st.builds(Fraction, st.integers(0, 6), st.integers(1, 4)),
             min_size=h.m, max_size=h.m).map(EdgeVector.of))
         res = strength(h, caps)
         expected, _ = brute_strength(h, caps)
@@ -154,8 +148,8 @@ class TestAgainstBruteProperty:
         assert len(p.blocks) >= 2
         assert c.sum_over(h.cross_edges(None, p)) / (len(p.blocks) - 1) == expected
 
-    @settings(max_examples=150, deadline=None)
-    @given(_hypergraphs(2))
+    @settings(max_examples=examples(150), deadline=None)
+    @given(hypergraphs(min_n=2, min_size=2))
     def test_arboricity_matches_enumeration(self, h):
         res = arboricity(h)
         expected, _ = brute_arboricity(h)
