@@ -11,8 +11,8 @@ sink for x_e.  A finite cut then encodes a vertex set W (the sink-side
 vertices): a source-side vertex drags the nodes of its edges along, so
 each edge either lies entirely inside W (its node sink-side, paying
 nothing) or pays x_e to the cut.  Per-vertex source and sink arcs carry
-the charges.  `build_arboricity_gadget` is the same builder at
-arboricity's charges and weights.
+the charges.  `build_arboricity_gadget` is the same builder at a
+density per vertex and unit weights; no routine of the package calls it.
 
 Every cut of such a gadget is solved by `GadgetEngine`, warm across
 moves of the forced vertex and charge revisions, and read back once by
@@ -50,12 +50,7 @@ from fractions import Fraction
 from typing import Iterable, Iterator, Sequence
 
 from .core import Hyperedge, Hypergraph, as_fraction
-from .mincut import INF, Cap, CutEngine, CutResult, FlowNetwork
-
-
-def _rational(num: int, scale: int) -> int | Fraction:
-    """num / scale, an int when it is whole."""
-    return num // scale if num % scale == 0 else Fraction(num, scale)
+from .mincut import INF, Cap, CutEngine, CutResult, FlowNetwork, _rational
 
 
 @dataclass(frozen=True)
@@ -138,9 +133,9 @@ def build_arboricity_gadget(h: Hypergraph, density: Fraction,
     """The supermodular gadget of arboricity's Newton round.
 
     Charge `density` per vertex and unit weight on every edge, so the
-    cut minimizes density * |W| - |E[W]|.  It is a public function of
-    its own so that a trace of the layer boundaries counts arboricity's
-    builds, and among them its forced ones, apart from the others.
+    cut minimizes density * |W| - |E[W]|.  `arboricity` builds it scaled
+    to integers instead, charge p and weight q at density p/q, which
+    has the same minimizers.
     """
     return _supermodular_gadget(h, [1] * h.m, [density] * h.n, forced, None)
 

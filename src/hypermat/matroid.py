@@ -21,9 +21,9 @@ demand split over its own vertices, at most p units on a vertex, and
 moves free units onto the next edge by breadth-first bulk moves (the
 pebble game of Lee and Streinu).  Polytope membership is that test at
 surplus x's common denominator, and strength and arboricity certify
-their Newton rounds with it.  A point it rejects is separated by
-minimizing a set function by min cuts on the selection gadget.  No
-enumeration happens here.
+their Newton rounds with it.  Where it rejects, separation and
+arboricity find the most violated set by min cuts on the selection
+gadget, through one routine.  No enumeration happens here.
 """
 
 from __future__ import annotations
@@ -33,7 +33,7 @@ from fractions import Fraction
 from typing import Iterable, Sequence, Union
 
 from .core import EdgeVector, Hypergraph, Partition
-from .gadgets import build_supermodular_gadget, forced_sweep
+from .gadgets import GadgetEngine, build_supermodular_gadget, forced_sweep
 
 
 @dataclass(frozen=True)
@@ -88,7 +88,7 @@ class _Matching:
     vertex slot s holds (-1 while it holds none) and owner[v] the slot
     holding v (-1 while v is free).  Every kept family is a hyperforest,
     and a hyperforest always has such a matching: its edges hold
-    distinct vertices.
+    distinct vertices.  Its checks raise, with or without `python -O`.
     """
 
     def __init__(self, n: int) -> None:
@@ -146,8 +146,8 @@ class _Matching:
             if reached is not None:
                 family = [s for s in reached if s != first + 1]
                 union = frozenset().union(*[self.slots[s] for s in family])
-                assert first in family and len(union) <= len(family), \
-                    "a rejected edge has no Hall violator"
+                if first not in family or len(union) > len(family):
+                    raise AssertionError("a rejected edge has no Hall violator")
                 while len(self.slots) > first:
                     self._pop()
                 return False
@@ -167,7 +167,8 @@ class _Matching:
         tight = None if reached is None else frozenset().union(*[self.slots[s] for s in reached])
         self._pop()
         self._pop()
-        assert copy is None, "a copy of a kept edge found no vertex"
+        if copy is not None:
+            raise AssertionError("a copy of a kept edge found no vertex")
         return tight
 
     def certify(self) -> None:
@@ -195,12 +196,15 @@ class _Matching:
                     continue
                 reached[s] = 1
                 w = held[s]
-                assert w in slots[s], "a trimmed pair leaves its edge"
+                if w not in slots[s]:
+                    raise AssertionError("a trimmed pair leaves its edge")
                 ru, rw = _find(root, u), _find(root, w)
-                assert ru != rw, "the trimmed pairs close a cycle"
+                if ru == rw:
+                    raise AssertionError("the trimmed pairs close a cycle")
                 root[ru] = rw
                 queue.append(w)
-        assert all(reached), "the trimming missed an edge"
+        if not all(reached):
+            raise AssertionError("the trimming missed an edge")
 
 
 class _Gathering:
@@ -354,6 +358,28 @@ def _gathers(h: Hypergraph, cap: int, demands: Sequence[int], goal: int) -> bool
     return True
 
 
+def _most_violated(h: Hypergraph, cap: int, demands: Sequence[int]) -> frozenset[int] | None:
+    """The first W in vertex order minimizing cap |W| - demand(E[W]) over nonempty W.
+
+    None when the gathering pass proves demand(E[W]) <= cap (|W| - 1)
+    for every W.  Else one unforced cut names the inclusion-maximal
+    minimizer over all W; the minimizers of this submodular function,
+    0 at the empty set, are closed under union, so a nonempty one is the
+    answer.  Only an empty one calls for a sweep of forced cuts.
+    """
+    if _gathers(h, cap, demands, sum(demands)):
+        return None
+    g = build_supermodular_gadget(h, demands, [cap] * h.n)
+    best = GadgetEngine(g).solve()
+    if not best.witness:
+        best = min(forced_sweep(g), key=lambda info: info.value)
+    elif best.value > 0:
+        raise AssertionError("a nonempty unforced witness scores above the empty set")
+    if best.value >= cap:
+        raise AssertionError("the cuts find no violated set the gathering pass rejected")
+    return best.witness
+
+
 def _find(root: list[int], v: int) -> int:
     while root[v] != v:
         root[v] = root[root[v]]
@@ -475,11 +501,11 @@ def separate_polytope(h: Hypergraph, x: EdgeVector) -> SeparationOutcome:
     singleton edges, whose rank is zero).  With x = nums / scale, the
     point lies in the polytope exactly when every edge family F' has
     nums(F') <= scale (|V(F')| - 1); when x(E) <= |V| - 1, the gathering
-    pass tests that with no cut.  Where it rejects, one network,
-    re-solved with each vertex forced into W in turn, finds the minimum
-    of |W| - x(E[W]) over nonempty vertex sets W.  That minimum lies
-    below 1 and yields the most violated induced-set inequality
-    x(E[W]) <= |W| - 1, also returned in partition form.
+    pass tests that with no cut.  Where it rejects, `_most_violated`
+    finds the first minimum in vertex order of |W| - x(E[W]) over
+    nonempty vertex sets W, by one cut when it is at most 0.  That
+    minimum lies below 1 and yields the most violated induced-set
+    inequality x(E[W]) <= |W| - 1, also returned in partition form.
     """
     x.require_length(h.m, "point")
     for e in range(h.m):
@@ -492,16 +518,9 @@ def separate_polytope(h: Hypergraph, x: EdgeVector) -> SeparationOutcome:
     if not h.n:
         return InPolytope()
     nums, scale = x._integers()
-    if _gathers(h, scale, nums, sum(nums)):
+    witness = _most_violated(h, scale, nums)
+    if witness is None:
         return InPolytope()
-    # charge 1 per vertex makes the polytope gadget: its cut identity reads
-    # |W| - x(E[W]) + x(E), all over x's common denominator `scale` here;
-    # the first minimum in vertex order wins, and it lies below 1
-    g = build_supermodular_gadget(h, nums, [scale] * h.n, forced=0)
-    best = min(forced_sweep(g), key=lambda info: info.value)
-    if best.value >= scale:
-        raise AssertionError("the sweep certifies a point the gathering pass rejected")
-    witness = best.witness
     edge_set = h.induced_edges(None, witness)
     lhs = x.sum_over(edge_set)
     rhs = len(witness) - 1

@@ -17,7 +17,7 @@ A round's ratio is certified with no cut when the gathering pass
 for strength the accepted total reaches its bound.  Only when the pass
 rejects does the round run its min cuts, which find the improving
 optimizer; a cut that certified the ratio instead would contradict the
-pass, and raises.
+pass, and raises.  Arboricity's round asks separation's question.
 """
 
 from __future__ import annotations
@@ -27,8 +27,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .core import EdgeVector, Hypergraph, LoopPresentError, Partition
-from .gadgets import GadgetEngine, build_arboricity_gadget, forced_sweep
-from .matroid import _gathers
+from .matroid import _gathers, _most_violated
 from .partition_oracle import min_partition
 
 
@@ -117,14 +116,14 @@ def strength(h: Hypergraph, capacities: EdgeVector | None = None) -> StrengthRes
 def arboricity(h: Hypergraph) -> ArboricityResult:
     """Exact arboricity; rejects singleton edges, returns k = 0 when edgeless.
 
-    Newton iteration from X = V.  At density p/q each round first
-    gathers q units per edge on capacity p per vertex; when every edge
-    fits, no set is denser than the anchor, which certifies the density.
-    Otherwise the round minimizes density * |W| - |E[W]| by min cut.
-    One unforced cut decides the round whenever its inclusion-maximal
-    minimizer is nonempty (that minimizer is then the exact densest
-    improving set); otherwise a per-vertex sweep of forced cuts settles
-    termination exactly.
+    Newton iteration from X = V.  At density p/q each round asks
+    separation's question, `matroid._most_violated` at capacity p per
+    vertex and demand q per edge.  When the gathering pass fits every
+    edge, no set is denser than the anchor, which certifies the density.
+    Otherwise the returned set, the first minimizer of p |W| - q |E[W]|
+    over nonempty W in vertex order, is strictly denser and becomes the
+    anchor.  One unforced cut finds it whenever the minimum is at most
+    0; only otherwise does a per-vertex sweep of forced cuts run.
     """
     for e in h.edges:
         if e.is_loop:
@@ -143,27 +142,11 @@ def arboricity(h: Hypergraph) -> ArboricityResult:
         # at density p/q, no set is denser than the anchor, whose ratio
         # is the density, exactly when every edge family F has
         # q |F| <= p (|V(F)| - 1)
-        q = density.denominator
-        if _gathers(h, density.numerator, [q] * h.m, q * h.m):
+        cand = _most_violated(h, density.numerator, [density.denominator] * h.m)
+        if cand is None:
             assert density == Fraction(len(h.induced_edges(None, witness)), len(witness) - 1)
             return ArboricityResult(rho=density, k=math.ceil(density), witness=witness,
                                     iterations=iterations)
-        info = GadgetEngine(build_arboricity_gadget(h, density)).solve()
-        cand = info.witness
-        if cand:
-            # min over all W (empty included) is <= 0 and this maximal
-            # minimizer attains it, so it is the exact densest set
-            assert info.value <= 0
-        else:
-            # every nonempty W scores positive; sweep to find the exact
-            # minimum over nonempty sets, the first in vertex order
-            best = min(forced_sweep(build_arboricity_gadget(h, density, forced=0)),
-                       key=lambda info: info.value)
-            assert best.value > 0
-            if best.value == density:
-                # only singletons would attain the minimum
-                raise AssertionError("the sweep certifies a density the gathering pass rejected")
-            cand = best.witness
         size = len(cand)
         assert size >= 2, "improving set cannot be a singleton"
         inside = len(h.induced_edges(None, cand))

@@ -528,7 +528,10 @@ class TestIntegerPath:
 
         expected = run()
         assert any(isinstance(sep, SetViolation) for *_, sep in expected)
+        # the builder and the engine turn integers over a scale back into
+        # numbers through mincut._rational, which makes mincut's Fraction
         monkeypatch.setattr("hypermat.gadgets.Fraction", no_fraction)
+        monkeypatch.setattr("hypermat.mincut.Fraction", no_fraction)
         h = cases[0][0]
         with pytest.raises(AssertionError, match="the gadgets made a Fraction"):
             build_supermodular_gadget(h, [Fraction(1, 2)] * h.m, [1] * h.n)

@@ -3,8 +3,10 @@
 The pass accepts edge demands onto vertex capacities while every edge
 family F keeps demand(F) <= cap (|V(F)| - 1).  Arboricity, strength and
 separation run it before their cuts and fall back to them when it
-rejects.  These tests compare the pass with enumeration, pin the
-fallback's witnesses, check that an accepting run makes no cut, and
+rejects; arboricity and separation fall back through one routine,
+matroid._most_violated.  These tests compare the pass with enumeration
+and the routine with a full sweep of forced cuts, pin the fallback's
+witnesses and cut counts, check that an accepting run makes no cut, and
 break the pass's certificates.  tests/test_packing.py and
 tests/test_matroid.py compare the three answers with enumeration.
 """
@@ -33,7 +35,8 @@ from hypermat import (
     strength,
 )
 from hypermat.brute import brute_min_partition
-from hypermat.matroid import _Gathering, _gathers
+from hypermat.gadgets import GadgetCutInterpretation, build_supermodular_gadget, forced_sweep
+from hypermat.matroid import _Gathering, _gathers, _most_violated
 
 from helpers import examples, hypergraphs, random_hypergraph
 
@@ -42,6 +45,33 @@ SRC = Path(__file__).resolve().parents[1] / "src"
 
 def _no_cut(*args, **kwargs):
     raise AssertionError("a min cut ran")
+
+
+def _count_solves(monkeypatch):
+    """Count CutEngine.solve calls from here on; returns the one-item counter."""
+    solve = CutEngine.solve
+    count = [0]
+
+    def counted(self):
+        count[0] += 1
+        return solve(self)
+
+    monkeypatch.setattr(CutEngine, "solve", counted)
+    return count
+
+
+def _swept(h, cap, demands):
+    """The first minimizer of cap |W| - demand(E[W]) over nonempty W, by a full forced sweep."""
+    g = build_supermodular_gadget(h, demands, [cap] * h.n, forced=0)
+    return min(forced_sweep(g), key=lambda info: info.value).witness
+
+
+def _past_the_screen():
+    """A point with x(E) <= n - 1 that the gathering pass rejects."""
+    h = Hypergraph(8, [[5, 6, 7, 4], [7, 6], [0, 1], [5, 3], [6, 4], [3, 0], [3, 7, 2, 1],
+                       [2, 6, 0], [7, 1], [0, 6], [3, 6], [2, 6]])
+    x = EdgeVector.of(["2/3", 0, "2/3", "2/3", "2/3", 1, "2/3", "1/3", 1, 1, "1/3", 0])
+    return h, x
 
 
 def _sparse(h, cap, demands):
@@ -70,6 +100,58 @@ class TestAgainstEnumeration:
         assert _gathers(h, cap, demands, cap * (h.n - 1)) == (value == 0)
 
 
+class TestMostViolated:
+    @settings(max_examples=examples(200), deadline=None)
+    @given(hypergraphs(), st.integers(1, 6), st.data())
+    def test_matches_the_full_sweep(self, h, cap, data):
+        # zero demands come up, and loops keep demand 0, as separation's do
+        demands = [0 if e.is_loop else data.draw(st.integers(0, 8)) for e in h.edges]
+        if _gathers(h, cap, demands, sum(demands)):
+            assert _most_violated(h, cap, demands) is None
+        else:
+            assert _most_violated(h, cap, demands) == _swept(h, cap, demands)
+
+    def test_one_cut_when_the_whole_set_violates(self, monkeypatch):
+        # a crit9-shaped point: x(E) > n - 1, so W = V scores below 0 and the
+        # unforced cut names a nonempty minimizer
+        rng = random.Random(0xC9)
+        h = random_hypergraph(rng, 60, 300, max_size=6, connected=True)
+        x = EdgeVector.of([Fraction(rng.randint(0, 4), 4) for _ in range(h.m)])
+        assert x.total() > h.n - 1
+        nums, scale = x._integers()
+        expected = _swept(h, scale, nums)
+        count = _count_solves(monkeypatch)
+        outcome = separate_polytope(h, x)
+        assert count[0] == 1
+        assert isinstance(outcome, SetViolation) and outcome.witness == expected
+
+    def test_sweep_when_every_set_scores_above_zero(self, monkeypatch):
+        # the violated set {0, 3, 6} scores 3 - 7/3 = 2/3 > 0, so the unforced
+        # cut names the empty set and all n forced cuts follow it
+        h, x = _past_the_screen()
+        count = _count_solves(monkeypatch)
+        assert separate_polytope(h, x).witness == frozenset({0, 3, 6})
+        assert count[0] == h.n + 1
+
+    def test_forged_rejection(self, monkeypatch):
+        # one edge on three vertices fits, so every set scores at least cap
+        monkeypatch.setattr("hypermat.matroid._gathers", lambda *args: False)
+        with pytest.raises(AssertionError, match="no violated set"):
+            _most_violated(Hypergraph(3, [[0, 1]]), 2, [2])
+
+    def test_forged_unforced_cut(self, monkeypatch):
+        class Engine:
+            def __init__(self, g):
+                pass
+
+            def solve(self):
+                return GadgetCutInterpretation(frozenset({1, 2}), frozenset({0}), frozenset(), 2)
+
+        monkeypatch.setattr("hypermat.matroid.GadgetEngine", Engine)
+        with pytest.raises(AssertionError, match="scores above the empty set"):
+            _most_violated(Hypergraph(3, [[0, 1], [0, 1]]), 1, [1, 1])
+
+
 class TestFallback:
     """Instances whose first round rejects: the cuts answer, as before the pass."""
 
@@ -89,9 +171,7 @@ class TestFallback:
         assert res.iterations == 3
 
     def test_separation_past_the_screen(self):
-        h = Hypergraph(8, [[5, 6, 7, 4], [7, 6], [0, 1], [5, 3], [6, 4], [3, 0], [3, 7, 2, 1],
-                           [2, 6, 0], [7, 1], [0, 6], [3, 6], [2, 6]])
-        x = EdgeVector.of(["2/3", 0, "2/3", "2/3", "2/3", 1, "2/3", "1/3", 1, 1, "1/3", 0])
+        h, x = _past_the_screen()
         assert x.total() <= h.n - 1
         assert separate_polytope(h, x) == SetViolation(
             witness=frozenset({0, 3, 6}), lhs=Fraction(7, 3), rhs=2,

@@ -1,6 +1,10 @@
 import itertools
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -30,6 +34,8 @@ from hypermat.brute import (
 from hypermat.matroid import _Matching
 
 from helpers import examples, hypergraphs, random_hypergraph, random_point, random_weights
+
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 def _no_cut(*args, **kwargs):
@@ -268,6 +274,21 @@ class TestCertificates:
             max_weight_hyperforest(k3, EdgeVector.ones(3))
         with pytest.raises(AssertionError, match="no Hall violator"):
             is_independent(k3, [0])
+
+    def test_checks_survive_optimize(self):
+        code = (
+            "from hypermat.matroid import _Matching\n"
+            "m = _Matching(3)\n"
+            "m.add((0, 1)); m.add((1, 2))\n"
+            "m.held[1] = 0\n"
+            "try:\n"
+            "    m.certify()\n"
+            "except AssertionError as exc:\n"
+            "    print('raised:', exc)\n"
+        )
+        out = subprocess.run([sys.executable, "-O", "-c", code], capture_output=True, text=True,
+                             env={**os.environ, "PYTHONPATH": str(SRC)}, check=True)
+        assert out.stdout == "raised: a trimmed pair leaves its edge\n"
 
 
 class TestMaxWeightHyperforest:
