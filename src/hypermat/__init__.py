@@ -2,19 +2,19 @@
 
 The package solves rank, independence, polytope separation, partition
 inequality separation, strength, fractional arboricity, and network
-reinforcement on hypergraphs.  Rank, independence and the greedy forest
-run on a bipartite matching of edges to vertices.  Strength, arboricity
-and polytope membership are certified by one gathering pass of integer
-units over the vertices; where it rejects, and for the partition oracle
-and reinforcement, the answers come from a short sequence of minimum-cut
+reinforcement on hypergraphs.  One gathering pass of integer units over
+the vertices answers rank, independence and the greedy forest at one
+unit per vertex, and certifies strength, arboricity and polytope
+membership; where it rejects, and for the partition oracle and
+reinforcement, the answers come from a short sequence of minimum-cut
 problems on small auxiliary digraphs.
 All arithmetic is exact: the seven operations return Fractions, and
 the cut reductions run on integers over a common denominator, so an int
 stays an int through `FlowNetwork` and the gadget.  Every public routine
 returns certificates that are re-checked internally before being handed
 out.  Most of those checks are `assert` statements, which `python -O`
-drops; making them survive it is item 4 of ROADMAP.md.  The gathering
-pass's checks survive it already.
+drops; making them survive it is item 4 of ROADMAP.md.  The checks in
+`matroid` survive it already.
 """
 
 from .core import (

@@ -39,7 +39,7 @@ vertex.  The witness is what remains, and its edges are read from its
 incidence lists.
 
 Rank, independence and the greedy forest need no network: `matroid`
-answers them by bipartite matching of edges to vertices.
+answers them by its gathering pass at one unit per vertex.
 """
 
 from __future__ import annotations

@@ -9,19 +9,18 @@ most |X| - 1 of its edges, and the rank of an edge set F is
 Independence is also a Hall condition with surplus one (Lorea, 1975):
 F is a hyperforest when every nonempty F' of F has |union(F')| >= |F'| + 1.
 So a hyperforest F stays one with an edge e exactly when F, e and a
-second copy of e can each hold a vertex of its own.  Rank, independence
-and the greedy forest keep such a matching of edges to vertices and
-test each edge by two augmenting-path searches, in integers and with no
-cut.
+second copy of e can each hold a vertex of its own.
 
 The same condition with surplus p and integer demands q_e reads
 q(F') <= p (|V(F')| - 1) for every nonempty edge family F'.  One
 gathering pass tests it with no cut: it keeps each accepted edge's
 demand split over its own vertices, at most p units on a vertex, and
 moves free units onto the next edge by breadth-first bulk moves (the
-pebble game of Lee and Streinu).  Polytope membership is that test at
-surplus x's common denominator, and strength and arboricity certify
-their Newton rounds with it.  Where it rejects, separation and
+pebble game of Lee and Streinu).  Rank, independence and the greedy
+forest run it at p = q_e = 1, where each kept edge holds one vertex and
+a Lorea trimming certifies the kept set.  Polytope membership is the
+test at surplus x's common denominator, and strength and arboricity
+certify their Newton rounds with it.  Where it rejects, separation and
 arboricity find the most violated set by min cuts on the selection
 gadget, through one routine.  No enumeration happens here.
 """
@@ -81,107 +80,186 @@ class SetViolation:
 SeparationOutcome = Union[InPolytope, BoundViolation, SetViolation]
 
 
-class _Matching:
-    """A matching of a growing edge family into the vertices.
+class _Gathering:
+    """Accepted edge demands, each split in integer units over its own vertices.
 
-    Edges sit in slots, added and removed at the end.  held[s] is the
-    vertex slot s holds (-1 while it holds none) and owner[v] the slot
-    holding v (-1 while v is free).  Every kept family is a hyperforest,
-    and a hyperforest always has such a matching: its edges hold
-    distinct vertices.  Its checks raise, with or without `python -O`.
+    Every vertex holds at most `cap` units.  The accepted edge in slot f
+    keeps amount[f] units, split[f][v] > 0 of them on each vertex v in
+    its split, and holders[v] lists the slots with units on v;
+    free[v] is cap less the units on v.
+
+    An edge takes t units once cap + t free units lie on its vertices.
+    Each family F' holding it then keeps y(F') <= cap (|V(F')| - 1) for
+    the accepted amounts y: the rest of F' sits on V(F'), where at least
+    cap + t units are free.  Free units are gathered onto the edge by
+    breadth-first bulk moves, each shifting a path's bottleneck of units
+    from one holder to the next.  This is the pebble game of Lee and
+    Streinu (Discrete Math. 308, 2008) at k = l = cap, carried to
+    hypergraphs by Streinu and Theran (European J. Combin. 30, 2009).
+    When no search reaches a free unit, every slot with units on the
+    reached set R lies inside R and they hold cap |R| less the units
+    free on the edge, which bounds what it can take.
+
+    At cap 1 with unit demands the accepted edges form a hyperforest and
+    each holds one vertex of its own: Lorea's Hall condition with
+    surplus one, which `certify_forest` checks.
+
+    The checks raise AssertionError, the error of the certificate checks
+    elsewhere in the package, and do not depend on assertions being on.
     """
 
-    def __init__(self, n: int) -> None:
-        self.owner = [-1] * n
+    def __init__(self, n: int, cap: int) -> None:
+        self.cap = cap
+        self.free = [cap] * n
+        self.holders: list[list[int]] = [[] for _ in range(n)]
         self.slots: list[tuple[int, ...]] = []
-        self.held: list[int] = []
+        self.split: list[dict[int, int]] = []
+        self.amount: list[int] = []
+        # the last search to reach each vertex, and the slot whose units it
+        # moves onto that vertex: no search starts by clearing n entries
+        self.seen = [0] * n
+        self.via = [-1] * n
+        self.searches = 0
 
-    def _push(self, verts: tuple[int, ...]) -> list[int] | None:
-        """Add a slot on verts and search for an augmenting path from it.
+    def _search(self, verts: tuple[int, ...]) -> tuple[int, list[int], dict[int, int]]:
+        """Breadth-first search from verts for a vertex outside them with free units.
 
-        Returns None once the new slot holds a vertex.  Otherwise returns
-        the slots the search reached, the new one first: every vertex of
-        theirs is held by one of them, so they hold one vertex too few.
-        A failed search changes no held vertex.
+        Returns that vertex, or -1 when none is reached, and the search's
+        tree: via[w] is the slot whose units move onto a reached vertex w
+        (-1 on verts; stale off the reached set), and expanded[f] is the
+        reached vertex that slot f's units move off.  A failed search
+        expands every slot with units on a reached vertex, each once.
         """
-        slots, held, owner = self.slots, self.held, self.owner
-        start = len(slots)
-        slots.append(verts)
-        held.append(-1)
-        parent = {start: -1}
-        queue = [start]
-        for s in queue:
-            for v in slots[s]:
-                t = owner[v]
-                if t < 0:
-                    # s takes the free vertex, and each slot up the path
-                    # takes the vertex its child held
-                    while s >= 0:
-                        held[s], v = v, held[s]
-                        owner[held[s]] = s
-                        s = parent[s]
-                    return None
-                if t not in parent:
-                    parent[t] = s
-                    queue.append(t)
-        return queue
+        free, holders, slots, seen, via = self.free, self.holders, self.slots, self.seen, self.via
+        self.searches += 1
+        stamp = self.searches
+        for v in verts:
+            seen[v] = stamp
+            via[v] = -1
+        expanded: dict[int, int] = {}
+        queue = list(verts)
+        for v in queue:
+            for f in holders[v]:
+                if f in expanded:
+                    continue
+                expanded[f] = v
+                for w in slots[f]:
+                    if seen[w] != stamp:
+                        seen[w] = stamp
+                        via[w] = f
+                        if free[w]:
+                            return w, via, expanded
+                        queue.append(w)
+        return -1, via, expanded
 
-    def _pop(self) -> None:
-        self.slots.pop()
-        v = self.held.pop()
-        if v >= 0:
-            self.owner[v] = -1
+    def _gather(self, verts: tuple[int, ...], demand: int) -> tuple[int, frozenset[int] | None]:
+        """Move free units onto verts until cap + demand lie there, and return how much of demand fits.
 
-    def add(self, verts: tuple[int, ...]) -> bool:
-        """Keep an edge on verts when the kept family stays a hyperforest with it.
-
-        Searches from the edge, then from a second copy of it.  When both
-        find a vertex the copy's is freed again and the edge stays.  When
-        one fails, its reached slots less the copy are a Hall violator,
-        checked by counting, and both slots go.
+        Short of the demand, the failed search's reached set comes back
+        too, else None.  The slots with units on it lie inside it and,
+        with the edge, break y(F') <= cap (|V(F')| - 1), checked by
+        counting the accepted amounts.  Every move leaves each split on
+        its own edge, so the moves stay either way.
         """
-        first = len(self.slots)
-        for _ in range(2):
-            reached = self._push(verts)
-            if reached is not None:
-                family = [s for s in reached if s != first + 1]
-                union = frozenset().union(*[self.slots[s] for s in family])
-                if first not in family or len(union) > len(family):
-                    raise AssertionError("a rejected edge has no Hall violator")
-                while len(self.slots) > first:
-                    self._pop()
-                return False
-        self._pop()
-        return True
+        cap, free, split, holders = self.cap, self.free, self.split, self.holders
+        need = cap + demand
+        gathered = sum([free[v] for v in verts])
+        while gathered < need:
+            w, via, expanded = self._search(verts)
+            if w < 0:
+                break
+            delta = min(free[w], need - gathered)
+            u = w
+            while via[u] >= 0:
+                f = via[u]
+                u = expanded[f]
+                delta = min(delta, split[f][u])
+            free[w] -= delta
+            while via[w] >= 0:
+                f = via[w]
+                v = expanded[f]
+                units = split[f]
+                units[v] -= delta
+                if not units[v]:
+                    del units[v]
+                    holders[v].remove(f)
+                if w in units:
+                    units[w] += delta
+                else:
+                    units[w] = delta
+                    holders[w].append(f)
+                w = v
+            free[w] += delta
+            gathered += delta
+        amount = max(0, min(demand, gathered - cap))
+        if sum([free[v] for v in verts]) < cap + amount:
+            raise AssertionError("an accepted edge gathered too few free units")
+        if amount == demand:
+            return amount, None
+        reached = frozenset(verts).union(*[self.slots[f] for f in expanded])
+        if sum([self.amount[f] for f in expanded]) + demand <= cap * (len(reached) - 1):
+            raise AssertionError("a rejected edge has no sparsity violator")
+        return amount, reached
+
+    def add(self, verts: tuple[int, ...], demand: int) -> int:
+        """Accept as many units of an edge on verts as fit, up to demand, and return that amount."""
+        free, holders = self.free, self.holders
+        amount, _ = self._gather(verts, demand)
+        if amount:
+            f = len(self.slots)
+            units = {}
+            left = amount
+            for v in verts:
+                take = min(free[v], left)
+                if take:
+                    free[v] -= take
+                    units[v] = take
+                    holders[v].append(f)
+                    left -= take
+            self.slots.append(verts)
+            self.split.append(units)
+            self.amount.append(amount)
+        return amount
 
     def tight_set(self, verts: tuple[int, ...]) -> frozenset[int] | None:
-        """Vertices of a tight set of the kept family holding a kept edge on verts.
+        """A tight set holding an accepted edge on verts, or None when no tight set holds it.
 
-        A set X is tight when |X| - 1 kept edges lie inside it.  Two more
-        copies of the edge can both hold a vertex unless some tight set
-        holds the edge, and then the failed search's reached slots cover
-        one.  None when no tight set holds the edge.  The copies go again.
+        A set X is tight when the accepted edges inside it hold
+        cap (|X| - 1) units.  One more unit of the edge fits unless a
+        tight set holds it, and then the reached set of the failed
+        gathering is one.  Nothing is accepted.
         """
-        copy = self._push(verts)
-        reached = self._push(verts)
-        tight = None if reached is None else frozenset().union(*[self.slots[s] for s in reached])
-        self._pop()
-        self._pop()
-        if copy is not None:
-            raise AssertionError("a copy of a kept edge found no vertex")
-        return tight
+        return self._gather(verts, 1)[1]
 
     def certify(self) -> None:
-        """Check that the kept family is a hyperforest by trimming it (Lorea).
+        """Check that each slot's units sum to its amount on its own vertices and no load passes cap."""
+        load = [0] * len(self.free)
+        for verts, units, amount in zip(self.slots, self.split, self.amount):
+            if sum(units.values()) != amount or not all([v in verts and units[v] > 0 for v in units]):
+                raise AssertionError("an accepted edge's units leave its split")
+            for v, u in units.items():
+                load[v] += u
+        if any([load[v] > self.cap or load[v] + f != self.cap for v, f in enumerate(self.free)]):
+            raise AssertionError("a vertex load passes its capacity")
 
-        A breadth-first search from the vertices no slot holds reaches
-        each slot through one of its vertices and pairs that vertex with
-        the slot's held one.  Each pair inside its edge and the pairs
-        forming a forest give every nonempty subfamily F' at least
-        |F'| + 1 vertices, so every subset of the family is independent.
+    def certify_forest(self) -> None:
+        """Check that the accepted edges form a hyperforest by trimming them (Lorea).
+
+        Each slot must keep exactly one unit, and the vertex under it is
+        the one the slot holds.  A breadth-first search from the vertices
+        no slot holds reaches each slot through one of its vertices and
+        pairs that vertex with the slot's held one.  Each pair inside its
+        edge and the pairs forming a forest give every nonempty subfamily
+        F' at least |F'| + 1 vertices, so every subset of the family is
+        independent.
         """
-        slots, held = self.slots, self.held
-        n = len(self.owner)
+        slots = self.slots
+        n = len(self.free)
+        held: list[int] = []
+        for units in self.split:
+            if list(units.values()) != [1]:
+                raise AssertionError("a kept edge holds other than one unit")
+            held.extend(units)
         touching: list[list[int]] = [[] for _ in range(n)]
         for s, verts in enumerate(slots):
             for v in verts:
@@ -205,129 +283,6 @@ class _Matching:
                 queue.append(w)
         if not all(reached):
             raise AssertionError("the trimming missed an edge")
-
-
-class _Gathering:
-    """Accepted edge demands, each split in integer units over its own vertices.
-
-    Every vertex holds at most `cap` units.  The accepted edge in slot f
-    keeps amount[f] units, split[f][v] > 0 of them on each vertex v in
-    its split, and holders[v] is the set of slots with units on v;
-    free[v] is cap less the units on v.
-
-    An edge takes t units once cap + t free units lie on its vertices.
-    Each family F' holding it then keeps y(F') <= cap (|V(F')| - 1) for
-    the accepted amounts y: the rest of F' sits on V(F'), where at least
-    cap + t units are free.  Free units are gathered onto the edge by
-    breadth-first bulk moves, each shifting a path's bottleneck of units
-    from one holder to the next.  This is the pebble game of Lee and
-    Streinu (Discrete Math. 308, 2008) at k = l = cap, carried to
-    hypergraphs by Streinu and Theran (European J. Combin. 30, 2009).
-    When no search reaches a free unit, every slot with units on the
-    reached set R lies inside R and they hold cap |R| less the units
-    free on the edge, which bounds what it can take.
-
-    The checks raise AssertionError, the error of the certificate checks
-    elsewhere in the package, and do not depend on assertions being on.
-    """
-
-    def __init__(self, n: int, cap: int) -> None:
-        self.cap = cap
-        self.free = [cap] * n
-        self.holders: list[set[int]] = [set() for _ in range(n)]
-        self.slots: list[tuple[int, ...]] = []
-        self.split: list[dict[int, int]] = []
-        self.amount: list[int] = []
-
-    def _search(self, verts: tuple[int, ...]) -> tuple[int, dict]:
-        """Breadth-first search from verts for a vertex outside them with free units.
-
-        Returns that vertex, or -1 when none is reached, and the parent
-        map of the reached vertices: (previous vertex, slot moving units
-        off it), None for the vertices of verts.
-        """
-        free, holders, slots = self.free, self.holders, self.slots
-        parent: dict = dict.fromkeys(verts)
-        queue = list(verts)
-        for v in queue:
-            for f in holders[v]:
-                for w in slots[f]:
-                    if w not in parent:
-                        parent[w] = (v, f)
-                        if free[w]:
-                            return w, parent
-                        queue.append(w)
-        return -1, parent
-
-    def add(self, verts: tuple[int, ...], demand: int) -> int:
-        """Accept as many units of an edge on verts as fit, up to demand, and return that amount.
-
-        Short of the demand, the reached set of the failed search holds a
-        family that, with the edge, breaks y(F') <= cap (|V(F')| - 1),
-        checked by counting the accepted amounts.
-        """
-        cap, free, split, holders = self.cap, self.free, self.split, self.holders
-        need = cap + demand
-        gathered = sum([free[v] for v in verts])
-        while gathered < need:
-            w, parent = self._search(verts)
-            if w < 0:
-                break
-            delta = min(free[w], need - gathered)
-            u = w
-            while parent[u] is not None:
-                u, f = parent[u]
-                delta = min(delta, split[f][u])
-            free[w] -= delta
-            while parent[w] is not None:
-                v, f = parent[w]
-                units = split[f]
-                units[v] -= delta
-                if not units[v]:
-                    del units[v]
-                    holders[v].discard(f)
-                if w in units:
-                    units[w] += delta
-                else:
-                    units[w] = delta
-                    holders[w].add(f)
-                w = v
-            free[w] += delta
-            gathered += delta
-        amount = max(0, min(demand, gathered - cap))
-        if sum([free[v] for v in verts]) < cap + amount:
-            raise AssertionError("an accepted edge gathered too few free units")
-        if amount < demand:
-            family = {f for v in parent for f in holders[v]}
-            union = frozenset(verts).union(*[self.slots[f] for f in family])
-            if sum([self.amount[f] for f in family]) + demand <= cap * (len(union) - 1):
-                raise AssertionError("a rejected edge has no sparsity violator")
-        if amount:
-            f = len(self.slots)
-            units = {}
-            left = amount
-            for v in verts:
-                take = min(free[v], left)
-                if take:
-                    free[v] -= take
-                    units[v] = take
-                    holders[v].add(f)
-                    left -= take
-            self.slots.append(verts)
-            self.split.append(units)
-            self.amount.append(amount)
-        return amount
-
-    def certify(self) -> None:
-        """Check that each slot's units sum to its amount on its own vertices and no load passes cap."""
-        load = [0] * len(self.free)
-        for verts, units, amount in zip(self.slots, self.split, self.amount):
-            if sum(units.values()) != amount or not all([v in verts and units[v] > 0 for v in units]):
-                raise AssertionError("an accepted edge's units leave its split")
-            for v, u in units.items():
-                load[v] += u
-        if any([load[v] > self.cap or load[v] + f != self.cap for v, f in enumerate(self.free)]):
-            raise AssertionError("a vertex load passes its capacity")
 
 
 def _gathers(h: Hypergraph, cap: int, demands: Sequence[int], goal: int) -> bool:
@@ -387,21 +342,22 @@ def _find(root: list[int], v: int) -> int:
     return v
 
 
-def _greedy(h: Hypergraph, order: Iterable[int]) -> tuple[list[int], _Matching]:
+def _greedy(h: Hypergraph, order: Iterable[int]) -> tuple[list[int], _Gathering]:
     """Keep each edge in order that leaves the kept ones a hyperforest.
 
+    Each edge is tested by gathering two free units onto it at cap 1.
     Stops at |V| - 1 kept edges, the most a hyperforest has, and
-    certifies the kept set before returning it with its matching.
+    certifies the kept set before returning it with its pass.
     """
-    matching = _Matching(h.n)
+    gathering = _Gathering(h.n, 1)
     chosen: list[int] = []
     for e in order:
         if len(chosen) >= h.n - 1:
             break
-        if matching.add(h.edges[e].vertices):
+        if gathering.add(h.edges[e].vertices, 1):
             chosen.append(e)
-    matching.certify()
-    return chosen, matching
+    gathering.certify_forest()
+    return chosen, gathering
 
 
 def rank(h: Hypergraph, edge_ids: Iterable[int] | None = None) -> RankResult:
@@ -416,10 +372,10 @@ def rank(h: Hypergraph, edge_ids: Iterable[int] | None = None) -> RankResult:
     if h.n < 1:
         raise ValueError("no vertices")
     ids = h._edge_id_list(edge_ids)
-    basis, matching = _greedy(h, ids)
+    basis, gathering = _greedy(h, ids)
     root = list(range(h.n))
     for b in basis:
-        tight = matching.tight_set(h.edges[b].vertices)
+        tight = gathering.tight_set(h.edges[b].vertices)
         if tight is not None:
             r0 = _find(root, min(tight))
             for v in tight:
@@ -430,8 +386,10 @@ def rank(h: Hypergraph, edge_ids: Iterable[int] | None = None) -> RankResult:
     p = Partition(h.n, tuple(tuple(b) for b in blocks.values()))
     r = len(basis)
     crossing = h.cross_edges(ids, p)
-    assert r == h.n - len(p.blocks) + len(crossing), "witness does not attain the rank"
-    assert 0 <= r <= max(h.n - 1, 0) and r <= len(ids)
+    if r != h.n - len(p.blocks) + len(crossing):
+        raise AssertionError("witness does not attain the rank")
+    if not (0 <= r <= max(h.n - 1, 0) and r <= len(ids)):
+        raise AssertionError("the rank leaves its range")
     return RankResult(rank=r, witness_partition=p)
 
 
@@ -439,19 +397,20 @@ def is_independent(h: Hypergraph, edge_ids: Iterable[int] | None = None) -> bool
     """Whether the selected edges form a hyperforest.
 
     More than |V| - 1 edges are dependent without any search: no rank
-    exceeds |V| - 1.  Otherwise the edges join one matching in id order,
-    and the first rejection answers False.
+    exceeds |V| - 1.  Otherwise the edges join one gathering pass at
+    cap 1 in id order, each with demand 1, and the first rejection
+    answers False.
     """
     ids = h._edge_id_list(edge_ids)
     if not ids:
         return True
     if len(ids) > h.n - 1:
         return False
-    matching = _Matching(h.n)
+    gathering = _Gathering(h.n, 1)
     for e in ids:
-        if not matching.add(h.edges[e].vertices):
+        if not gathering.add(h.edges[e].vertices, 1):
             return False
-    matching.certify()
+    gathering.certify_forest()
     return True
 
 
@@ -459,9 +418,9 @@ def independence_test_incremental(h: Hypergraph, independent_ids: Sequence[int],
                                   candidate: int) -> bool:
     """Whether an independent set stays independent with one more edge.
 
-    The set's edges join one matching first; one of them rejected means
-    the set is not independent, a ValueError.  Then two searches answer
-    for the candidate.
+    The set's edges join one gathering pass at cap 1 first; one of them
+    rejected means the set is not independent, a ValueError.  Then one
+    more gathering answers for the candidate.
     """
     if not all([0 <= e < h.m for e in (*independent_ids, candidate)]):
         raise ValueError("edge id out of range")
@@ -469,13 +428,13 @@ def independence_test_incremental(h: Hypergraph, independent_ids: Sequence[int],
         raise ValueError("candidate already in the set")
     if len(set(independent_ids)) != len(independent_ids):
         raise ValueError("duplicate edge ids in the set")
-    matching = _Matching(h.n)
+    gathering = _Gathering(h.n, 1)
     for e in independent_ids:
-        if not matching.add(h.edges[e].vertices):
+        if not gathering.add(h.edges[e].vertices, 1):
             raise ValueError("the given set is not independent")
-    ok = matching.add(h.edges[candidate].vertices)
+    ok = gathering.add(h.edges[candidate].vertices, 1) == 1
     if ok:
-        matching.certify()
+        gathering.certify_forest()
     return ok
 
 
@@ -483,14 +442,17 @@ def max_weight_hyperforest(h: Hypergraph, weights: EdgeVector) -> tuple[frozense
     """Maximum-weight independent edge set by the matroid greedy.
 
     Edges are scanned by decreasing weight (id order breaks ties), each
-    tested on one matching kept for the whole scan; the scan stops early
-    at |V| - 1 edges, the largest any hyperforest can be.  Zero-weight
-    edges are still eligible: the returned set is a maximal hyperforest
-    among the optimal ones.
+    tested on one gathering pass at cap 1 kept for the whole scan; the
+    scan stops early at |V| - 1 edges, the largest any hyperforest can
+    be.  The weights are compared as integers over their common positive
+    denominator, which keeps their order.  Zero-weight edges are still
+    eligible: the returned set is a maximal hyperforest among the
+    optimal ones.
     """
     weights.require_length(h.m, "weights")
     weights.require_nonnegative("weights")
-    chosen, _ = _greedy(h, sorted(range(h.m), key=lambda e: (-weights[e], e)))
+    nums, _ = weights._integers()
+    chosen, _ = _greedy(h, sorted(range(h.m), key=lambda e: (-nums[e], e)))
     return frozenset(chosen), weights.sum_over(chosen)
 
 
@@ -524,7 +486,8 @@ def separate_polytope(h: Hypergraph, x: EdgeVector) -> SeparationOutcome:
     edge_set = h.induced_edges(None, witness)
     lhs = x.sum_over(edge_set)
     rhs = len(witness) - 1
-    assert lhs > rhs, "violation reported but inequality holds"
+    if lhs <= rhs:
+        raise AssertionError("violation reported but inequality holds")
     rest = [(v,) for v in range(h.n) if v not in witness]
     partition = Partition(h.n, tuple([tuple(sorted(witness))] + rest))
     return SetViolation(witness=witness, lhs=lhs, rhs=rhs,

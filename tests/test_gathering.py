@@ -1,14 +1,17 @@
-"""The gathering pass (matroid._Gathering) and the three answers it certifies.
+"""The gathering pass (matroid._Gathering) and the answers it certifies.
 
 The pass accepts edge demands onto vertex capacities while every edge
-family F keeps demand(F) <= cap (|V(F)| - 1).  Arboricity, strength and
-separation run it before their cuts and fall back to them when it
-rejects; arboricity and separation fall back through one routine,
-matroid._most_violated.  These tests compare the pass with enumeration
-and the routine with a full sweep of forced cuts, pin the fallback's
-witnesses and cut counts, check that an accepting run makes no cut, and
-break the pass's certificates.  tests/test_packing.py and
-tests/test_matroid.py compare the three answers with enumeration.
+family F keeps demand(F) <= cap (|V(F)| - 1).  Rank, independence and
+the greedy forest run it at cap 1 with unit demands.  Arboricity,
+strength and separation run it before their cuts and fall back to them
+when it rejects; arboricity and separation fall back through one
+routine, matroid._most_violated.  These tests compare the pass and its
+tight sets with enumeration and the routine with a full sweep of forced
+cuts, pin the fallback's witnesses and cut counts, check that an
+accepting run makes no cut, and break the pass's certificates.
+tests/test_packing.py and tests/test_matroid.py compare the answers
+with enumeration, and tests/test_matroid.py breaks the trimming that
+certifies a hyperforest.
 """
 
 import itertools
@@ -98,6 +101,33 @@ class TestAgainstEnumeration:
         demands = data.draw(st.lists(st.integers(0, 8), min_size=h.m, max_size=h.m))
         value, _ = brute_min_partition(h, EdgeVector.of(demands), Fraction(cap))
         assert _gathers(h, cap, demands, cap * (h.n - 1)) == (value == 0)
+
+
+class TestTightSet:
+    @settings(max_examples=examples(200), deadline=None)
+    @given(hypergraphs())
+    def test_matches_enumeration(self, h):
+        # a hyperforest kept in id order at cap 1; X is tight when |X| - 1
+        # kept edges lie inside it, and each kept edge lies in one or in none
+        gathering = _Gathering(h.n, 1)
+        kept = [e for e in range(h.m) if gathering.add(h.edges[e].vertices, 1)]
+
+        def tight(x):
+            return len(h.induced_edges(kept, x)) == len(x) - 1
+
+        for e in kept:
+            verts = h.edges[e].vertices
+            found = gathering.tight_set(verts)
+            if found is None:
+                rest = [v for v in range(h.n) if v not in verts]
+                assert not any([tight(set(verts).union(extra))
+                                for r in range(len(rest) + 1)
+                                for extra in itertools.combinations(rest, r)])
+            else:
+                assert found >= set(verts) and tight(found)
+        # the gatherings move units but keep every certificate
+        gathering.certify()
+        gathering.certify_forest()
 
 
 class TestMostViolated:
@@ -224,13 +254,14 @@ class TestCertificates:
         assert gathering.add((1, 2), 2) == 2 and gathering.free == [2, 0, 2]
         # a search that gives up at once, though vertex 2 has free units:
         # {1, 2} and {0, 1} fit on three vertices, so nothing is violated
-        monkeypatch.setattr(_Gathering, "_search", lambda self, verts: (-1, dict.fromkeys(verts)))
+        monkeypatch.setattr(_Gathering, "_search", lambda self, verts: (-1, None, {}))
         with pytest.raises(AssertionError, match="no sparsity violator"):
             gathering.add((0, 1), 2)
 
     def test_forged_gather(self, monkeypatch):
         # a search that "finds" a unit already on the edge counts it twice
-        monkeypatch.setattr(_Gathering, "_search", lambda self, verts: (verts[0], dict.fromkeys(verts)))
+        monkeypatch.setattr(_Gathering, "_search",
+                            lambda self, verts: (verts[0], [-1] * len(self.free), {}))
         with pytest.raises(AssertionError, match="gathered too few"):
             _Gathering(3, 2).add((0, 1), 3)
 

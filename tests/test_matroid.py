@@ -31,7 +31,7 @@ from hypermat.brute import (
     brute_rank,
     brute_separate,
 )
-from hypermat.matroid import _Matching
+from hypermat.matroid import _Gathering
 
 from helpers import examples, hypergraphs, random_hypergraph, random_point, random_weights
 
@@ -176,7 +176,7 @@ class TestIndependence:
             expected = brute_hyperforest(h)
             if h.m > n - 1:
                 with monkeypatch.context() as patched:
-                    patched.setattr(_Matching, "_push", _no_search)
+                    patched.setattr(_Gathering, "_gather", _no_search)
                     assert is_independent(h) is False
             assert is_independent(h) == expected
         assert any(sizes) and not all(sizes)
@@ -233,56 +233,74 @@ class TestNoCuts:
 
 
 class TestCertificates:
+    """Lorea's trimming of a hyperforest kept by the gathering pass at cap 1."""
+
+    def _kept(self, *edges):
+        gathering = _Gathering(3, 1)
+        assert all([gathering.add(verts, 1) == 1 for verts in edges])
+        gathering.certify_forest()
+        return gathering
+
     def test_held_vertex_outside_its_edge(self):
-        matching = _Matching(3)
-        assert matching.add((0, 1)) and matching.add((1, 2))
-        matching.certify()
+        gathering = self._kept((0, 1), (1, 2))
         # vertex 0 lies outside the edge {1, 2}
-        matching.held[1] = 0
+        gathering.split[1] = {0: 1}
         with pytest.raises(AssertionError, match="leaves its edge"):
-            matching.certify()
+            gathering.certify_forest()
 
     def test_shared_held_vertex_closes_a_cycle(self):
-        matching = _Matching(3)
-        assert matching.add((0, 1)) and matching.add((0, 1, 2))
-        matching.certify()
+        gathering = self._kept((0, 1), (0, 1, 2))
         # both edges hold the same vertex: the free vertex of {0, 1} pairs
         # with it twice
-        matching.held[1] = matching.held[0]
+        gathering.split[1] = dict(gathering.split[0])
         with pytest.raises(AssertionError, match="close a cycle"):
-            matching.certify()
+            gathering.certify_forest()
 
     def test_no_free_vertex_misses_every_edge(self):
-        matching = _Matching(3)
-        assert matching.add((0, 1)) and matching.add((1, 2))
+        gathering = self._kept((0, 1), (1, 2))
         # a triangle forced in: each edge holds a vertex, none is free
-        matching.slots.append((0, 2))
-        matching.held[:] = [0, 1, 2]
+        gathering.slots.append((0, 2))
+        gathering.split[:] = [{0: 1}, {1: 1}, {2: 1}]
         with pytest.raises(AssertionError, match="missed an edge"):
-            matching.certify()
+            gathering.certify_forest()
 
-    def test_forged_rejection_fails_the_hall_check(self, monkeypatch, k3):
-        def reach_only_itself(self, verts):
-            # a failed search that reached only the new slot: its two
-            # vertices outnumber the one slot
-            self.slots.append(verts)
-            self.held.append(-1)
-            return [len(self.slots) - 1]
+    @pytest.mark.parametrize("units", [{}, {0: 2}, {0: 1, 1: 1}])
+    def test_held_units_other_than_one(self, units):
+        gathering = self._kept((0, 1), (1, 2))
+        gathering.split[0] = units
+        with pytest.raises(AssertionError, match="other than one unit"):
+            gathering.certify_forest()
 
-        monkeypatch.setattr(_Matching, "_push", reach_only_itself)
-        with pytest.raises(AssertionError, match="no Hall violator"):
-            max_weight_hyperforest(k3, EdgeVector.ones(3))
-        with pytest.raises(AssertionError, match="no Hall violator"):
-            is_independent(k3, [0])
+    def test_forged_rejection_fails_the_hall_check(self, monkeypatch):
+        # a search that gives up at once: the edge {1, 2} finds one free
+        # unit of the two it needs, though the three edges form a path
+        h = Hypergraph(4, [[0, 1], [2, 3], [1, 2]])
+        monkeypatch.setattr(_Gathering, "_search", lambda self, verts: (-1, None, {}))
+        with pytest.raises(AssertionError, match="no sparsity violator"):
+            max_weight_hyperforest(h, EdgeVector.ones(3))
+        with pytest.raises(AssertionError, match="no sparsity violator"):
+            is_independent(h)
+
+    def test_forged_tight_sets_miss_the_rank(self, monkeypatch, k3):
+        # with no tight set every vertex is a block, and all three edges
+        # cross that partition, though the rank is 2
+        monkeypatch.setattr(_Gathering, "tight_set", lambda self, verts: None)
+        with pytest.raises(AssertionError, match="does not attain the rank"):
+            rank(k3)
+
+    def test_forged_violated_set(self, monkeypatch, k3):
+        monkeypatch.setattr("hypermat.matroid._most_violated", lambda *args: frozenset({0, 1}))
+        with pytest.raises(AssertionError, match="inequality holds"):
+            separate_polytope(k3, EdgeVector.zeros(3))
 
     def test_checks_survive_optimize(self):
         code = (
-            "from hypermat.matroid import _Matching\n"
-            "m = _Matching(3)\n"
-            "m.add((0, 1)); m.add((1, 2))\n"
-            "m.held[1] = 0\n"
+            "from hypermat.matroid import _Gathering\n"
+            "g = _Gathering(3, 1)\n"
+            "g.add((0, 1), 1); g.add((1, 2), 1)\n"
+            "g.split[1] = {0: 1}\n"
             "try:\n"
-            "    m.certify()\n"
+            "    g.certify_forest()\n"
             "except AssertionError as exc:\n"
             "    print('raised:', exc)\n"
         )
