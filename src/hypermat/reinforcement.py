@@ -22,9 +22,17 @@ lack of k * (blocks - 1).  Without a merge the edge enters at its bound.
 The subproblem minimum reaching zero certifies primal feasibility;
 running out of crossing edges proves infeasibility with the current
 partition as the certificate.  Every dual update keeps feasibility and
-complementary slackness, which are asserted, so the final cost equality
-is a proof of optimality; with integer k and bounds the multiplicities
-come out integral.
+complementary slackness, which are checked by `if ...: raise`, so
+`python -O` keeps them, and the final cost equality is a proof of
+optimality; with integer k and bounds the multiplicities come out
+integral.
+
+A round costs what it touches.  Partitions only coarsen, so every open
+candidate has taken every raise: its reduced cost is its cost less one
+running sum, and a heap on costs gives the next edge to admit.  The cut
+runs on the quotient over the blocks the tight crossing edges meet, and
+a merge reads the fused block's inside edges from the incidence of all
+but its largest block.
 
 Costs and bounds come in as Fractions, and every number handed out is
 one.  The loop itself runs on integers: reduced costs and duals over the
@@ -33,9 +41,10 @@ costs' common denominator, multiplicities and bounds over the bounds'.
 
 from __future__ import annotations
 
+import heapq
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Sequence
+from typing import Container, Iterable, Sequence
 
 from .core import EdgeVector, Hypergraph, Partition
 from .gadgets import GadgetEngine, build_supermodular_gadget
@@ -93,12 +102,14 @@ def _subproblem(h: Hypergraph, held: Iterable[int], bounds: Sequence[int],
     current partition or the current one with one group S of blocks
     merged, S holding the blocks the trigger meets, which changes the
     value by delta(S) = threshold * (|S| - 1) - bounds(tight edges inside S).
-    One cut minimizes delta.  On the quotient each block is a vertex
-    charged threshold, except that the trigger's blocks contract into the
-    forced vertex 0, charged threshold for all but one of them; each held
-    edge maps to its block image, a loop at 0 when it lies within the
-    trigger's blocks.  Then charge(W) - bounds(E[W]) is delta of the
-    blocks W stands for.
+    One cut minimizes delta.  On the quotient each block a held edge
+    meets is a vertex charged threshold, except that the trigger's
+    blocks contract into the forced vertex 0, charged threshold for all
+    but one of them; each held edge maps to its block image, a loop at 0
+    when it lies within the trigger's blocks.  Then charge(W) - bounds(E[W])
+    is delta of the blocks W stands for.  A block no held edge meets
+    would be an isolated vertex charged threshold > 0, which the
+    inclusion-maximal minimizer never holds, so the quotient leaves it out.
     Bounds and threshold are integers over one denominator, and so is
     the new minimum, returned with the group to merge: the indices of the
     blocks in the cut's witness, the inclusion-maximal minimizer, when
@@ -106,46 +117,62 @@ def _subproblem(h: Hypergraph, held: Iterable[int], bounds: Sequence[int],
     optimum of zero the group is every block, so reinforcement ends on
     the one-block partition.
     """
-    nblocks = len(current.blocks)
     label = current._label
     trigger_blocks = {label[v] for v in h.edges[trigger].vertices}
-    others = [i for i in range(nblocks) if i not in trigger_blocks]
-    qid = [0] * nblocks
-    for q, i in enumerate(others, 1):
-        qid[i] = q
-    images: list[list[int]] = []
-    weights: list[int] = []
-    for e in held:
-        images.append(sorted({qid[label[v]] for v in h.edges[e].vertices}))
-        weights.append(bounds[e])
-    charges = [threshold * (len(trigger_blocks) - 1)] + [threshold] * len(others)
+    met = {label[v] for e in held for v in h.edges[e].vertices} - trigger_blocks
+    qid = dict.fromkeys(trigger_blocks, 0)
+    qid.update((i, q) for q, i in enumerate(sorted(met), 1))
+    images = [sorted({qid[label[v]] for v in h.edges[e].vertices}) for e in held]
+    weights = [bounds[e] for e in held]
+    charges = [threshold * (len(trigger_blocks) - 1)] + [threshold] * len(met)
     g = build_supermodular_gadget(Hypergraph(len(charges), images), weights, charges, forced=0)
     cut = GadgetEngine(g).solve()
-    value = sum(weights) - threshold * (nblocks - 1)
+    value = sum(weights) - threshold * (len(current.blocks) - 1)
     if cut.value > 0:
         return value, frozenset()
-    return value + cut.value, frozenset(i for i in range(nblocks) if qid[i] in cut.witness)
+    return value + cut.value, frozenset(i for i, q in qid.items() if q in cut.witness)
 
 
-def canonicalize_merge(h: Hypergraph, current: Partition, group: frozenset[int], trigger: int,
-                       held: set[int], x: Sequence[int],
-                       threshold: int) -> tuple[Partition, frozenset[int], frozenset[int], int]:
+def canonicalize_merge(h: Hypergraph, incident: Sequence[Sequence[int]], inner: dict[int, set[int]],
+                       current: Partition, group: frozenset[int], trigger: int,
+                       held: Container[int], x: Sequence[int],
+                       threshold: int) -> tuple[Partition, frozenset[int], set[int], list[int], int]:
     """The merge step of a reinforcement round: fuse the blocks in `group`.
 
     `group` holds the indices of the blocks of `current` in the round's
     cut witness, as `_subproblem` returns them; `held` is the tight edges
-    crossing `current`, the trigger among them.  Returns the new
-    partition, the fused vertex set, the edges inside it, and the deficit
-    the trigger takes: what the other held edges inside lack of
+    crossing `current`, the trigger among them.  `incident` lists each
+    vertex's edges, and `inner` maps the least vertex of each block of
+    `current` to the set of edges inside that block.  The fused set
+    takes over the set of the group's largest block, which gains the
+    edges of the other blocks' vertices that lie inside the fused set,
+    so a merge walks the incidence of the smaller blocks only; `inner`
+    is left keyed by the blocks of the new partition.  Returns the new
+    partition, the fused vertex set, the edges inside it, the ones among
+    those that the largest block did not hold, and the deficit the
+    trigger takes: what the other held edges inside lack of
     threshold * (|group| - 1).  Multiplicities x and the threshold are
     integers over one denominator.
     """
     blocks = current.blocks
+    edges = h.edges
     merged = frozenset(v for i in group for v in blocks[i])
-    inside = h.induced_edges(None, merged)
-    lam = threshold * (len(group) - 1) - sum([x[e] for e in held & inside if e != trigger])
+    largest = max(group, key=lambda i: len(blocks[i]))
+    inside = inner.pop(blocks[largest][0])
+    added: list[int] = []
+    for i in group:
+        if i != largest:
+            del inner[blocks[i][0]]
+            for v in blocks[i]:
+                for e in incident[v]:
+                    if e not in inside and merged.issuperset(edges[e].vertices):
+                        inside.add(e)
+                        added.append(e)
+    inner[min([blocks[i][0] for i in group])] = inside
+    # held edges cross `current`, so every one inside the fused set was added
+    lam = threshold * (len(group) - 1) - sum([x[e] for e in added if e in held and e != trigger])
     new = Partition(h.n, (tuple(sorted(merged)), *[b for i, b in enumerate(blocks) if i not in group]))
-    return new, merged, inside, lam
+    return new, merged, inside, added, lam
 
 
 def _partition_value(h: Hypergraph, tight: Iterable[int], bounds: Sequence[int],
@@ -196,12 +223,44 @@ def reinforce(h: Hypergraph, tree_count: int, costs: EdgeVector,
     tight: list[int] = []
     current = Partition.singletons(h.n)
     merges: list[MergeDescriptor] = []
-    # the crossing edges of the current partition, split into the open
-    # candidates and the tight ones
-    candidates = set(h.cross_edges(None, current))
-    held: set[int] = set()
+    # each vertex's edges, and the edges inside each block keyed by its
+    # least vertex; the crossing edges of the current partition, split
+    # into the open candidates and the tight ones
+    incident: list[list[int]] = [[] for _ in range(h.n)]
+    inner: dict[int, set[int]] = {v: set() for v in range(h.n)}
+    candidates: set[int] = set()
+    for e, edge in enumerate(h.edges):
+        for v in edge.vertices:
+            incident[v].append(e)
+        if edge.is_loop:
+            inner[edge.vertices[0]].add(e)
+        else:
+            candidates.add(e)
+    # partitions only coarsen, so a candidate has taken every step: its
+    # reduced cost is cnums[e] - raised, and a held edge's bound dual is
+    # raised less its value when the edge was admitted, kept in `held`;
+    # both are written out as the edge leaves, the rest at the end
+    raised = 0
+    queue = [(cnums[e], e) for e in candidates]
+    heapq.heapify(queue)
+    held: dict[int, int] = {}
+    # the edges with 0 < x_e < u_e: only a merge's trigger can be one
+    partial: list[int] = []
+
+    def release(e: int) -> None:
+        if e in candidates:
+            candidates.remove(e)
+            reduced[e] = cnums[e] - raised
+        elif e in held:
+            bdual[e] = raised - held.pop(e)
+            if bdual[e] > 0 and xi[e] != ubi[e]:
+                raise AssertionError("crossing tight edge below its bound")
 
     def dual_state(p: Partition) -> DualState:
+        for e in [*candidates, *held]:
+            release(e)
+        if min(reduced, default=0) < 0 or min(bdual, default=0) < 0:
+            raise AssertionError("a dual variable went negative")
         return DualState(
             partition_duals=[(q, Fraction(g, cscale)) for q, g in gammas.items()],
             bound_duals=[Fraction(b, cscale) for b in bdual],
@@ -211,80 +270,89 @@ def reinforce(h: Hypergraph, tree_count: int, costs: EdgeVector,
     rounds = 0
     while True:
         rounds += 1
-        assert rounds <= h.m + 1, "admitted more edges than exist"
+        if rounds > h.m + 1:
+            raise AssertionError("admitted more edges than exist")
         if not candidates:
             # even at full bounds the crossing edges cannot meet the
             # requirement: the current partition certifies infeasibility
-            assert _partition_value(h, tight, ubi, kb, current) < 0
+            if _partition_value(h, tight, ubi, kb, current) >= 0:
+                raise AssertionError("infeasibility certificate meets the requirement")
             return ReinforcementResult(status="infeasible", x=None, cost=None,
                                        dual=dual_state(current), merges=tuple(merges))
-        step = min([reduced[e] for e in candidates])
-        assert step >= 0, "reduced cost went negative"
+        while queue[0][1] not in candidates:
+            heapq.heappop(queue)
+        top, trigger = heapq.heappop(queue)
+        step = top - raised
+        if step < 0:
+            raise AssertionError("reduced cost went negative")
         if step > 0:
             gammas[current] = gammas.get(current, 0) + step
-            for e in held:
-                bdual[e] += step
-                assert xi[e] == ubi[e], "crossing tight edge below its bound"
-            for e in candidates:
-                reduced[e] -= step
-        trigger = min([e for e in candidates if reduced[e] == 0])
+            raised = top
         tight.append(trigger)
-        candidates.remove(trigger)
-        held.add(trigger)
+        release(trigger)
+        held[trigger] = raised
 
         value, group = _subproblem(h, held, ubi, kb, current, trigger)
-        assert value <= 0
+        if value > 0:
+            raise AssertionError("the subproblem minimum went positive")
         if group:
-            merged_partition, merged, inside, lam = canonicalize_merge(
-                h, current, group, trigger, held, xi, kb)
-            assert trigger in inside, "triggering edge does not lie inside the merged block"
-            assert 0 <= lam <= ubi[trigger], "merge deficit outside the edge bound"
+            merged_partition, merged, inside, added, lam = canonicalize_merge(
+                h, incident, inner, current, group, trigger, held, xi, kb)
+            if trigger not in inside:
+                raise AssertionError("triggering edge does not lie inside the merged block")
+            if not 0 <= lam <= ubi[trigger]:
+                raise AssertionError("merge deficit outside the edge bound")
             xi[trigger] = lam
+            if 0 < lam < ubi[trigger]:
+                partial.append(trigger)
             merges.append(MergeDescriptor(block_indices=group, merged=merged,
                                           value=Fraction(lam, bscale)))
-            assert sum([xi[e] for e in inside]) == kb * (len(merged) - 1), \
-                "merged block misses its exact requirement"
-            candidates -= inside
-            held -= inside
+            if sum([xi[e] for e in inside]) != kb * (len(merged) - 1):
+                raise AssertionError("merged block misses its exact requirement")
+            for e in added:
+                release(e)
             current = merged_partition
         else:
             xi[trigger] = ubi[trigger]
-        assert value < 0 or current == Partition.whole(h.n), \
-            "zero-value optimum is not the one-block partition"
-        assert _partition_value(h, tight, ubi, kb, current) == value, \
-            "new partition misses the subproblem value"
+        if value == 0 and len(current.blocks) != 1:
+            raise AssertionError("zero-value optimum is not the one-block partition")
+        if _partition_value(h, tight, ubi, kb, current) != value:
+            raise AssertionError("new partition misses the subproblem value")
         if value == 0:
             break
-        # loop invariants: dual feasibility, and partially used edges
-        # buried inside blocks so later raises never touch them
-        assert min(reduced, default=0) >= 0 and min(bdual, default=0) >= 0
+        # loop invariant: partially used edges buried inside blocks, so
+        # later raises never touch them
         label = current._label
-        for e, (xe, ue) in enumerate(zip(xi, ubi)):
-            if 0 < xe < ue:
-                vs = h.edges[e].vertices
-                assert all(label[v] == label[vs[0]] for v in vs), \
-                    "partially used edge crosses the partition"
+        for e in partial:
+            if len({label[v] for v in h.edges[e].vertices}) > 1:
+                raise AssertionError("partially used edge crosses the partition")
 
-    assert sum(xi) == kb * (h.n - 1), "terminal multiplicity total off"
+    dual = dual_state(current)
+    if sum(xi) != kb * (h.n - 1):
+        raise AssertionError("terminal multiplicity total off")
     # cost and dual objective over cscale * bscale
     cost = sum([c * xe for c, xe in zip(cnums, xi)])
     dual_obj = sum([g * kb * (len(p.blocks) - 1) for p, g in gammas.items()])
     dual_obj -= sum([u * b for u, b in zip(ubi, bdual)])
-    assert cost == dual_obj, "primal and dual objectives differ"
+    if cost != dual_obj:
+        raise AssertionError("primal and dual objectives differ")
     # complementary slackness, exactly
     for p, g in gammas.items():
         if g > 0:
             got = sum([xi[e] for e in h.cross_edges(None, p)])
-            assert got == kb * (len(p.blocks) - 1), "raised partition not tight in x"
+            if got != kb * (len(p.blocks) - 1):
+                raise AssertionError("raised partition not tight in x")
     for e in range(h.m):
-        if bdual[e] > 0:
-            assert xi[e] == ubi[e], "bound dual positive on an unsaturated edge"
-        if xi[e] > 0:
-            assert reduced[e] == 0, "used edge with positive reduced cost"
-        assert 0 <= xi[e] <= ubi[e]
+        if bdual[e] > 0 and xi[e] != ubi[e]:
+            raise AssertionError("bound dual positive on an unsaturated edge")
+        if xi[e] > 0 and reduced[e] != 0:
+            raise AssertionError("used edge with positive reduced cost")
+        if not 0 <= xi[e] <= ubi[e]:
+            raise AssertionError("multiplicity outside its bounds")
     x = [Fraction(xe, bscale) for xe in xi]
     if bounds is None or bounds.is_integral():
-        assert all(v.denominator == 1 for v in x), "integral data, fractional optimum"
+        if any(v.denominator != 1 for v in x):
+            raise AssertionError("integral data, fractional optimum")
     return ReinforcementResult(status="optimal", x=EdgeVector(x),
                                cost=Fraction(cost, cscale * bscale),
-                               dual=dual_state(current), merges=tuple(merges))
+                               dual=dual, merges=tuple(merges))

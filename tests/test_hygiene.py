@@ -97,10 +97,20 @@ def test_gadget_cuts_take_one_path():
     assert stray == []
 
 
+def _asserts(name):
+    tree = ast.parse((PACKAGE / name).read_text(encoding="utf-8"))
+    return [node.lineno for node in ast.walk(tree) if isinstance(node, ast.Assert)]
+
+
 def test_gathering_pass_holds_no_assert():
     # matroid.py checks its certificates (the gathering pass, the trimming,
     # the most violated set, the rank witness) with `if ...: raise`, which
     # `python -O` keeps; an `assert` there would vanish under it
-    tree = ast.parse((PACKAGE / "matroid.py").read_text(encoding="utf-8"))
-    asserts = [node.lineno for node in ast.walk(tree) if isinstance(node, ast.Assert)]
+    asserts = _asserts("matroid.py")
     assert asserts == [], f"matroid.py asserts on lines {asserts}"
+
+
+def test_reinforcement_holds_no_assert():
+    # so do reinforcement's round checks, duals and optimality proof
+    asserts = _asserts("reinforcement.py")
+    assert asserts == [], f"reinforcement.py asserts on lines {asserts}"

@@ -1,6 +1,10 @@
 import math
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings
@@ -15,9 +19,12 @@ from hypermat import (
     reinforcement,
 )
 from hypermat.brute import brute_reinforce
+from hypermat.gadgets import GadgetEngine, build_supermodular_gadget
 from hypermat.mincut import CutEngine
 
-from helpers import mst_cost, random_hypergraph, verify_optimal
+from helpers import examples, mst_cost, random_hypergraph, verify_optimal
+
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 class TestReinforce:
@@ -171,17 +178,41 @@ def check_merge_trace(h, k, res):
         assert merged[-1] == frozenset(range(h.n))
 
 
+def _full_quotient_cut(h, held, bounds, threshold, current, trigger):
+    """The round's cut on the quotient with every block of `current` a vertex."""
+    nblocks = len(current.blocks)
+    trigger_blocks = {current.block_index(v) for v in h.edges[trigger].vertices}
+    others = [i for i in range(nblocks) if i not in trigger_blocks]
+    qid = [0] * nblocks
+    for q, i in enumerate(others, 1):
+        qid[i] = q
+    images = [sorted({qid[current.block_index(v)] for v in h.edges[e].vertices}) for e in held]
+    weights = [bounds[e] for e in held]
+    charges = [threshold * (len(trigger_blocks) - 1)] + [threshold] * len(others)
+    g = build_supermodular_gadget(Hypergraph(len(charges), images), weights, charges, forced=0)
+    cut = GadgetEngine(g).solve()
+    value = sum(weights) - threshold * (nblocks - 1)
+    if cut.value > 0:
+        return value, frozenset()
+    return value + cut.value, frozenset(i for i in range(nblocks) if qid[i] in cut.witness)
+
+
 class TestOneCutSubproblem:
     def test_matches_the_partition_oracle(self, monkeypatch):
-        # each round's single cut against the full oracle on the same quotient
+        # each round's single cut against the full oracle on the same
+        # quotient, and against one cut of the quotient over every block,
+        # where the round's quotient leaves out the blocks no held edge meets
         one_cut = reinforcement._subproblem
-        rounds = 0
+        rounds = smaller = 0
 
         def checked(h, held, bounds, threshold, current, trigger):
-            nonlocal rounds
+            nonlocal rounds, smaller
             rounds += 1
             held = sorted(held)
             value, group = one_cut(h, held, bounds, threshold, current, trigger)
+            assert (value, group) == _full_quotient_cut(h, held, bounds, threshold, current, trigger)
+            met = {current.block_index(v) for e in held for v in h.edges[e].vertices}
+            smaller += len(met) < len(current.blocks)
             images = [sorted({current.block_index(v) for v in h.edges[e].vertices})
                       for e in held]
             assert all(len(img) >= 2 for img in images), "a held edge does not cross"
@@ -205,7 +236,7 @@ class TestOneCutSubproblem:
         statuses = set()
         for h, k, costs, bounds in _instances(0x1C07, 150):
             statuses.add(reinforce(h, k, costs, bounds).status)
-        assert statuses == {"optimal", "infeasible"} and rounds > 300
+        assert statuses == {"optimal", "infeasible"} and rounds > 300 and smaller > 100
 
     def test_one_cut_per_round(self, monkeypatch):
         monkeypatch.setattr("hypermat.partition_oracle.min_partition", _no_oracle)
@@ -235,10 +266,18 @@ class TestOneCutSubproblem:
         assert optimal > 50
 
 
+def _merge(h, current, group, trigger, held, x, threshold):
+    """canonicalize_merge with the incidence lists and inside-edge sets built from scratch."""
+    incident = [[e for e in range(h.m) if v in h.edges[e]] for v in range(h.n)]
+    inner = {b[0]: set(h.induced_edges(None, b)) for b in current.blocks}
+    return reinforcement.canonicalize_merge(h, incident, inner, current, group, trigger, held,
+                                            x, threshold)
+
+
 class TestCanonicalizeMerge:
     def test_simple_merge(self):
         h = Hypergraph(4, [[0, 1], [2, 3], [0, 2]])
-        new, merged, inside, lam = reinforcement.canonicalize_merge(
+        new, merged, inside, added, lam = _merge(
             h, Partition.singletons(4), frozenset({0, 1}), trigger=0, held={0, 1, 2},
             x=[0, 0, 0], threshold=2)
         assert new == Partition(4, ((0, 1), (2,), (3,)))
@@ -252,13 +291,64 @@ class TestCanonicalizeMerge:
         # edge and edge 4 sticks out of the fused block
         h = Hypergraph(5, [[0, 1], [0, 2], [1, 3], [2, 3], [3, 4]])
         current = Partition(5, ((0, 1), (2,), (3,), (4,)))
-        new, merged, inside, lam = reinforcement.canonicalize_merge(
+        new, merged, inside, added, lam = _merge(
             h, current, frozenset({0, 1, 2}), trigger=1, held={1, 2, 3, 4},
             x=[5, 0, 1, 1, 2], threshold=2)
         assert new == Partition(5, ((0, 1, 2, 3), (4,)))
         assert merged == frozenset({0, 1, 2, 3})
         assert inside == frozenset({0, 1, 2, 3})
         assert lam == 2
+
+    def test_inside_edges_match_the_recount(self, monkeypatch):
+        # every merge of random runs: the edges inside the fused set, and
+        # every block's entry of the inside-edge sets afterwards, equal a
+        # recount over all edges; the added edges are those the group's
+        # largest block did not hold, every crossing one among them
+        merge = reinforcement.canonicalize_merge
+        seen = {"optimal": 0, "infeasible": 0}
+        merges = 0
+
+        def checked(h, incident, inner, current, group, trigger, held, x, threshold):
+            nonlocal merges
+            merges += 1
+            blocks = current.blocks
+            before = {i: set(inner[blocks[i][0]]) for i in group}
+            out = merge(h, incident, inner, current, group, trigger, held, x, threshold)
+            new, merged, inside, added, lam = out
+            assert inside == h.induced_edges(None, merged)
+            assert len(added) == len(set(added))
+            assert any(set(added) == inside - before[i] for i in group)
+            assert h.cross_edges(inside, current) <= set(added)
+            assert inner == {b[0]: h.induced_edges(None, b) for b in new.blocks}
+            return out
+
+        monkeypatch.setattr(reinforcement, "canonicalize_merge", checked)
+        rng = random.Random(0x3E6F)
+        for h, k, costs, bounds in _instances(0x3E6E, 150):
+            # loops lie inside every block from the start
+            loops = [[rng.randrange(h.n)] for _ in range(rng.randint(0, 2))]
+            h = Hypergraph(h.n, [*[e.vertices for e in h.edges], *loops])
+            costs = EdgeVector([*costs, *[1] * len(loops)])
+            bounds = None if bounds is None else EdgeVector([*bounds, *[1] * len(loops)])
+            seen[reinforce(h, k, costs, bounds).status] += 1
+        assert seen["optimal"] > 50 and seen["infeasible"] > 20 and merges > 200
+
+    def test_reinforce_recounts_no_inside_edges(self, monkeypatch):
+        # a merge reads the fused set's inside edges from the incidence of
+        # its smaller blocks, never from all m edges
+        calls = 0
+        induced = Hypergraph.induced_edges
+
+        def counted(self, edge_ids, vertex_set):
+            nonlocal calls
+            calls += 1
+            return induced(self, edge_ids, vertex_set)
+
+        monkeypatch.setattr(Hypergraph, "induced_edges", counted)
+        merges = 0
+        for h, k, costs, bounds in _instances(0x1C07, 150):
+            merges += len(reinforce(h, k, costs, bounds).merges)
+        assert merges > 200 and calls == 0
 
 
 @st.composite
@@ -280,7 +370,7 @@ def reinforce_instances(draw):
 
 
 class TestAgainstBruteProperty:
-    @settings(max_examples=120, deadline=None)
+    @settings(max_examples=examples(120), deadline=None)
     @given(reinforce_instances())
     @example((Hypergraph(3, [[0, 1, 2], [0, 1, 2]]), 1, EdgeVector.of(["1/2", "2/3"]),
               EdgeVector.of(["1/2", "2/3"])))
@@ -333,3 +423,25 @@ class TestOutputTypes:
             values = list(_fraction_outputs(res))
             assert values and all(type(v) is Fraction for v in values)
         assert statuses == {"optimal", "infeasible"}
+
+
+class TestChecks:
+    def test_checks_survive_optimize(self):
+        # a round whose cut reports a value one below the true one: the
+        # recount of the new partition's value must catch it under -O too
+        code = (
+            "from hypermat import EdgeVector, Hypergraph, reinforce, reinforcement\n"
+            "one_cut = reinforcement._subproblem\n"
+            "def forged(*args):\n"
+            "    value, group = one_cut(*args)\n"
+            "    return value - 1, group\n"
+            "reinforcement._subproblem = forged\n"
+            "h = Hypergraph(3, [[0, 1], [1, 2], [0, 2]])\n"
+            "try:\n"
+            "    reinforce(h, 1, EdgeVector.of([1, 2, 3]), EdgeVector.ones(3))\n"
+            "except AssertionError as exc:\n"
+            "    print('raised:', exc)\n"
+        )
+        out = subprocess.run([sys.executable, "-O", "-c", code], capture_output=True, text=True,
+                             env={**os.environ, "PYTHONPATH": str(SRC)}, check=True)
+        assert out.stdout == "raised: new partition misses the subproblem value\n"
