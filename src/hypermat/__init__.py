@@ -5,16 +5,17 @@ inequality separation, strength, fractional arboricity, and network
 reinforcement on hypergraphs.  One gathering pass of integer units over
 the vertices answers rank, independence and the greedy forest at one
 unit per vertex, and certifies strength, arboricity and polytope
-membership; where it rejects, and for the partition oracle and
-reinforcement, the answers come from a short sequence of minimum-cut
-problems on small auxiliary digraphs.
+membership.  Where it rejects, strength takes the pass's maximal tight
+sets as its next partition; separation, arboricity, reinforcement and
+the partition oracle take their answers from a short sequence of
+minimum-cut problems on small auxiliary digraphs.
 All arithmetic is exact: the seven operations return Fractions, and
 the cut reductions run on integers over a common denominator, so an int
 stays an int through `FlowNetwork` and the gadget.  Every public routine
 returns certificates that are re-checked internally before being handed
-out.  Most of those checks are `assert` statements, which `python -O`
-drops; making them survive it is item 4 of ROADMAP.md.  The checks in
-`matroid` survive it already.
+out.  The checks in `matroid`, `packing` and `reinforcement` raise
+without `assert`, so `python -O` keeps them; the rest are still
+`assert` statements, which it drops (ROADMAP.md).
 """
 
 from .core import (
@@ -42,7 +43,6 @@ from .gadgets import (
     GadgetCutInterpretation,
     GadgetGraph,
     build_supermodular_gadget,
-    forced_sweep,
     interpret_gadget_cut,
 )
 from .partition_oracle import (
@@ -100,7 +100,6 @@ __all__ = [
     "arboricity",
     "as_fraction",
     "build_supermodular_gadget",
-    "forced_sweep",
     "format_rational",
     "independence_test_incremental",
     "interpret_gadget_cut",

@@ -1,8 +1,8 @@
 """Builders for the auxiliary cut networks behind every cut reduction, and their one solver.
 
-Polytope separation, the partition oracle (and through it strength),
-each round of reinforcement and arboricity all minimize one set
-function by min cut: charge(W) - x(E[W]) over vertex sets W, or over
+Polytope separation and arboricity, where the gathering pass rejects,
+each round of reinforcement and the partition oracle all minimize one
+set function by min cut: charge(W) - x(E[W]) over vertex sets W, or over
 those holding a forced vertex.  Its one builder is the selection
 network of Rhys (Management Science 17(3), 1970) and Picard and
 Queyranne (INFOR 20, 1982): each selected hyperedge e becomes one node,
@@ -17,7 +17,7 @@ density per vertex and unit weights; no routine of the package calls it.
 Every cut of such a gadget is solved by `GadgetEngine`, warm across
 moves of the forced vertex and charge revisions, and read back once by
 `interpret_gadget_cut`, which checks it against the charges and forced
-vertex of that solve.  `forced_sweep` forces each vertex in turn.
+vertex of that solve.
 
 Weights and charges come in as any exact rationals (an `EdgeVector`, a
 list of ints) and the builder turns them once into integers over one
@@ -25,21 +25,14 @@ common denominator `scale`, 1 when all are ints: the only form the
 gadget, its engine and the read-back keep.  Whole capacities reach
 `FlowNetwork` as ints, so ints stay ints from the caller to the cut.
 
-Reading a cut back costs time in proportion to its smaller side, not to
-the gadget, and the engine finds that side without walking the other.
-In a forced sweep the source side is often the source alone: a forward
-search from the source finds it at once, and a per-vertex incidence
-list of the selected edges gives the edges leaving the witness.  While
-most vertices still have room on their source arcs, as in strength's
-solves, the forward search would reach nearly every node, so the
-engine peels the sink side instead: only the vertices with a full
-source arc can be unreached, and of those it drops, until none is left
-to drop, each that feeds flow into an edge node meeting a reached
-vertex.  The witness is what remains, and its edges are read from its
-incidence lists.
+Reading a cut back costs time in proportion to its source side and the
+edges meeting it, not to the gadget: a per-vertex incidence list of the
+selected edges gives the edges leaving the witness.  In a forced cut the
+source side is often the source alone.
 
 Rank, independence and the greedy forest need no network: `matroid`
-answers them by its gathering pass at one unit per vertex.
+answers them by its gathering pass at one unit per vertex.  Strength
+needs none either: its rejected rounds read the pass's blocks.
 """
 
 from __future__ import annotations
@@ -47,7 +40,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Sequence
 
 from .core import Hyperedge, Hypergraph, as_fraction
 from .mincut import INF, Cap, CutEngine, CutResult, FlowNetwork, _rational
@@ -77,8 +70,8 @@ class GadgetGraph:
     solve reports, is the inclusion-maximal minimizer of that function:
     a minimizer W gives a minimum cut whose source side is the vertices
     off W and the nodes of the edges leaving W, so the smallest source
-    side has the largest W.  Strength, arboricity and reinforcement
-    break their ties by that rule.
+    side has the largest W.  Separation, arboricity, reinforcement and
+    the partition oracle break their ties by that rule.
     """
 
     network: FlowNetwork
@@ -190,13 +183,11 @@ def interpret_gadget_cut(g: GadgetGraph, cut: CutResult) -> GadgetCutInterpretat
     capacity equals charge(W) - x(E[W]) + offset over the gadget's
     scale, checked in integers.
 
-    The work is proportional to the side the cut names and the edges
-    meeting it, not to the whole gadget.  From a source side, the edges
-    leaving W are the incidences of the source-side vertices, W and
-    E[W] are what remains of the vertices and the selected edges, and
-    charge(W) and x(E[W]) are the totals less the source-side terms.
-    From a sink side, W is its vertices and E[W] the edges that all of
-    their own vertices list.
+    The work is proportional to the cut's source side and the edges
+    meeting it, not to the whole gadget: the edges leaving W are the
+    incidences of the source-side vertices, W and E[W] are what remains
+    of the vertices and the selected edges, and charge(W) and x(E[W])
+    are the totals less the source-side terms.
     """
     inc = g.incidence
     first_edge = 2 + len(inc)  # the builder's layout: s, t, the vertices, then the edges
@@ -204,125 +195,26 @@ def interpret_gadget_cut(g: GadgetGraph, cut: CutResult) -> GadgetCutInterpretat
     ch, w = g.charges, g.weights
     # infinite wiring drags the node of an edge with a source-side
     # vertex along; minimality keeps every other node sink-side
-    if cut.source_side is None:
-        sink_vertices, sink_edges = [], set()
-        for node in cut.sink_side:
-            if node >= first_edge:
-                sink_edges.add(edges[node - first_edge].id)
-            elif node >= 2:
-                sink_vertices.append(node - 2)
-        listed: dict[int, int] = {}
-        for v in sink_vertices:
-            for e in inc[v]:
-                listed[e] = listed.get(e, 0) + 1
-        enode = g.edge_nodes
-        inside = {e for e, k in listed.items() if k == len(edges[enode[e] - first_edge])}
-        assert inside <= sink_edges, "edge node on the source side without any of its vertices"
-        assert sink_edges <= inside, "vertex on the source side but its edge node is not"
-        witness = frozenset(sink_vertices)
-        source_vertices = frozenset(g.vertex_nodes.keys() - witness)
-        edges_inside = frozenset(inside)
-        value = sum([ch[v] for v in sink_vertices]) - sum([w[e] for e in inside])
-    else:
-        source_list, source_edges = [], set()
-        for node in cut.source_side:
-            if node >= first_edge:
-                source_edges.add(edges[node - first_edge].id)
-            elif node >= 2:
-                source_list.append(node - 2)
-        leaving = set().union(*[inc[v] for v in source_list])
-        assert source_edges <= leaving, "edge node on the source side without any of its vertices"
-        assert leaving <= source_edges, "vertex on the source side but its edge node is not"
-        source_vertices = frozenset(source_list)
-        witness = frozenset(g.vertex_nodes.keys() - source_vertices)
-        edges_inside = frozenset(g.edge_nodes.keys() - leaving)
-        value = sum(ch) - sum([ch[v] for v in source_list]) \
-            - (g.x_total - sum([w[e] for e in leaving]))
+    source_list, source_edges = [], set()
+    for node in cut.source_side:
+        if node >= first_edge:
+            source_edges.add(edges[node - first_edge].id)
+        elif node >= 2:
+            source_list.append(node - 2)
+    leaving = set().union(*[inc[v] for v in source_list])
+    assert source_edges <= leaving, "edge node on the source side without any of its vertices"
+    assert leaving <= source_edges, "vertex on the source side but its edge node is not"
+    source_vertices = frozenset(source_list)
+    witness = frozenset(g.vertex_nodes.keys() - source_vertices)
+    edges_inside = frozenset(g.edge_nodes.keys() - leaving)
+    value = sum(ch) - sum([ch[v] for v in source_list]) \
+        - (g.x_total - sum([w[e] for e in leaving]))
     if g.forced is not None:
         assert g.forced in witness, "forced vertex escaped the witness"
     c = cut.capacity
     assert c.numerator * g.scale == (value + g.offset) * c.denominator, "capacity identity failed"
     return GadgetCutInterpretation(source_vertices=source_vertices, witness=witness,
                                    edges_inside=edges_inside, value=_rational(value, g.scale))
-
-
-class _GadgetCuts(CutEngine):
-    """A `CutEngine` on a gadget's network that peels the sink side of its cuts.
-
-    In the gadget's residual network the source reaches a vertex through
-    its source arc while that arc has room, every edge node meeting a
-    reached vertex through an infinite arc, and a vertex feeding flow
-    into a reached edge node back along that flow; nothing else leaves a
-    reached node except toward the sink.  So the unreached vertices are
-    the greatest set of full-source-arc vertices that feeds flow only
-    into edge nodes all of whose vertices it holds.  _sink_side() peels
-    them from the full ones, walking only their slots and those of the
-    edge nodes they feed, and adds the edge nodes they hold whole and
-    the sink.  solve() asks for it in O(1), only while most source arcs
-    have room, and checks what it gets.
-
-    The layout is the builder's (vertex v is node 2 + v and its source
-    arc is arc v); vertex_count is n.  The engine holds no reference
-    back to the `GadgetEngine` that owns it.
-    """
-
-    def __init__(self, network: FlowNetwork, vertex_count: int) -> None:
-        super().__init__(network)
-        self.vertex_count = vertex_count
-
-    def _sink_side(self) -> list[int]:
-        n = self.vertex_count
-        res, slots, to = self.res, self.slots, self.to
-        first_edge = 2 + n
-        full = [2 + (a >> 1) for a in set(range(0, 2 * n, 2)).difference(self.open_source)]
-        inside = bytearray(self.n)
-        for u in full:
-            inside[u] = 1
-        # an edge node is 0 unseen, 1 meeting a reached vertex, 2 meeting
-        # none yet and 3 emitted; slot a of a vertex leads to an edge node
-        # along an infinite arc, whose backward slot a ^ 1 holds the flow
-        state = bytearray(self.n)
-        peeled = []
-        for u in full:
-            for a in slots[u]:
-                e = to[a]
-                if e >= first_edge and res[a ^ 1]:
-                    if not state[e]:
-                        state[e] = 2
-                        for b in slots[e]:
-                            if b & 1 and not inside[to[b]]:
-                                state[e] = 1
-                                break
-                    if state[e] == 1:
-                        inside[u] = 0
-                        peeled.append(u)
-                        break
-        # a peeled vertex is reached, and so is every edge node it meets
-        while peeled:
-            for a in slots[peeled.pop()]:
-                e = to[a]
-                if e >= first_edge and state[e] != 1:
-                    state[e] = 1
-                    for b in slots[e]:
-                        w = to[b]
-                        if b & 1 and inside[w] and res[b]:
-                            inside[w] = 0
-                            peeled.append(w)
-        side = [self.t]
-        for u in full:
-            if inside[u]:
-                side.append(u)
-                for a in slots[u]:
-                    e = to[a]
-                    if e >= first_edge:
-                        st = state[e]
-                        if not st:
-                            st = 2 if all([inside[to[b]] for b in slots[e] if b & 1]) else 1
-                        if st == 2:
-                            side.append(e)
-                            st = 3
-                        state[e] = st
-        return side
 
 
 class GadgetEngine:
@@ -336,11 +228,6 @@ class GadgetEngine:
     forced vertex as they stand, so the read-back checks every revision.
     The engine keeps the gadget's integer form; a charge off its scale
     rescales the charges, the weights and their sums.
-
-    Its cut engine takes each cut from the smaller side: the source side
-    by a forward search while most source arcs are full (a forced sweep,
-    arboricity), else the sink side peeled from the vertices with a full
-    source arc (strength's warm re-solves); see `_GadgetCuts`.
     """
 
     def __init__(self, g: GadgetGraph) -> None:
@@ -351,7 +238,7 @@ class GadgetEngine:
         self._offset = g.offset
         self._scale = g.scale
         self._forced = g.forced
-        self._engine = _GadgetCuts(g.network, len(g.charges))
+        self._engine = CutEngine(g.network)
 
     def force(self, v: int) -> None:
         """Make v the forced vertex, releasing the previous one."""
@@ -395,15 +282,3 @@ class GadgetEngine:
                            self._scale, self._forced, g.incidence)
         return interpret_gadget_cut(live, self._engine.solve())
 
-
-def forced_sweep(g: GadgetGraph) -> Iterator[GadgetCutInterpretation]:
-    """Minimum cuts of a supermodular gadget with each vertex forced in turn.
-
-    One engine serves the whole sweep: for each vertex in order it
-    forces that vertex and solves, so between solves only the infinite
-    sink arc moves.  Yields each cut read back and checked.
-    """
-    engine = GadgetEngine(g)
-    for v in range(len(g.charges)):
-        engine.force(v)
-        yield engine.solve()

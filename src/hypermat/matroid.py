@@ -20,9 +20,14 @@ pebble game of Lee and Streinu).  Rank, independence and the greedy
 forest run it at p = q_e = 1, where each kept edge holds one vertex and
 a Lorea trimming certifies the kept set.  Polytope membership is the
 test at surplus x's common denominator, and strength and arboricity
-certify their Newton rounds with it.  Where it rejects, separation and
-arboricity find the most violated set by min cuts on the selection
-gadget, through one routine.  No enumeration happens here.
+certify their Newton rounds with it.
+
+The pass also names its maximal tight sets, its blocks.  At cap 1 they
+are rank's witness partition.  Where the pass rejects, strength takes
+them as its next anchor (see `packing`), and separation and arboricity
+find the most violated set through one routine: one unforced min cut on
+the selection gadget, and, only when that cut names no set, one forced
+cut per block.  No enumeration happens here.
 """
 
 from __future__ import annotations
@@ -32,7 +37,7 @@ from fractions import Fraction
 from typing import Iterable, Sequence, Union
 
 from .core import EdgeVector, Hypergraph, Partition
-from .gadgets import GadgetEngine, build_supermodular_gadget, forced_sweep
+from .gadgets import GadgetEngine, build_supermodular_gadget
 
 
 @dataclass(frozen=True)
@@ -231,6 +236,42 @@ class _Gathering:
         """
         return self._gather(verts, 1)[1]
 
+    def blocks(self) -> Partition:
+        """The maximal tight sets, as a partition of the vertices.
+
+        Tight sets that meet have a tight union (cap >= 1), so the maximal
+        ones, the blocks, partition V.  A union-find walks the slots in
+        order: it skips a slot whose vertices share a root, and otherwise
+        joins the slot's `tight_set` into one group.  Searches move units,
+        not amounts, so what is tight stays tight.
+
+        Proof.  A tight set read lies in one block B, as its union with B
+        is tight, so every group is a tight set inside one block.  Each
+        slot inside B has a tight set and ends inside one group: a read
+        slot in the set it joined, a skipped one in the group that held
+        it.  Skipping loses nothing, as every slot crossing two groups is
+        read.  If B splits into k groups, a lone vertex counting as one,
+        its slots hold cap (|B| - k) units; B is tight, so k = 1.  When
+        the pass holds cap (|V| - 1) units, V is tight and no walk runs.
+        """
+        n = len(self.free)
+        if sum(self.amount) == self.cap * (n - 1):
+            return Partition.whole(n)
+        root = list(range(n))
+        for verts in self.slots:
+            r = _find(root, verts[0])
+            if all([_find(root, v) == r for v in verts]):
+                continue
+            tight = self.tight_set(verts)
+            if tight is not None:
+                r0 = _find(root, min(tight))
+                for v in tight:
+                    root[_find(root, v)] = r0
+        groups: dict[int, list[int]] = {}
+        for v in range(n):
+            groups.setdefault(_find(root, v), []).append(v)
+        return Partition(n, tuple([tuple(b) for b in groups.values()]))
+
     def certify(self) -> None:
         """Check that each slot's units sum to its amount on its own vertices and no load passes cap."""
         load = [0] * len(self.free)
@@ -285,51 +326,66 @@ class _Gathering:
             raise AssertionError("the trimming missed an edge")
 
 
-def _gathers(h: Hypergraph, cap: int, demands: Sequence[int], goal: int) -> bool:
-    """Whether the edges, taken in id order, accept goal units of their demands.
+def _pass(h: Hypergraph, cap: int, demands: Sequence[int], goal: int) -> tuple[int, _Gathering]:
+    """Offer the edges in id order to one pass until it accepts goal units; return its total and the pass.
 
     Each edge takes what fits of its demand.  The accepted amounts y keep
-    y(F') <= cap (|V(F')| - 1) for every nonempty edge family F', and
-    their total is the most that any such y accepts, a polymatroid's
-    rank.  With the whole demand as goal this asks whether every F' has
-    demand(F') <= cap (|V(F')| - 1); with cap (|V| - 1) as goal, whether
-    the rank reaches that bound.  No goal above cap (|V| - 1), the bound
-    at F' = E, can be met, and that screen costs one sum.
+    y(F') <= cap (|V(F')| - 1) for every nonempty edge family F', and a
+    total short of goal is the most that any such y accepts, a
+    polymatroid's rank: every edge has then been offered.  With the whole
+    demand as goal this asks whether every F' has demand(F') <=
+    cap (|V(F')| - 1); with cap (|V| - 1) as goal, whether the rank
+    reaches that bound, the bound at F' = E.
     """
-    left = sum(demands)
-    if goal > cap * (h.n - 1) or left < goal:
-        return False
     gathering = _Gathering(h.n, cap)
     total = 0
     for e, demand in enumerate(demands):
         if total >= goal:
             break
         if demand:
-            left -= demand
             total += gathering.add(h.edges[e].vertices, demand)
-            if total + left < goal:
-                return False
     gathering.certify()
-    return True
+    return total, gathering
 
 
 def _most_violated(h: Hypergraph, cap: int, demands: Sequence[int]) -> frozenset[int] | None:
-    """The first W in vertex order minimizing cap |W| - demand(E[W]) over nonempty W.
+    """The first W in vertex order minimizing f(W) = cap |W| - demand(E[W]) over nonempty W.
 
     None when the gathering pass proves demand(E[W]) <= cap (|W| - 1)
-    for every W.  Else one unforced cut names the inclusion-maximal
+    for every W; no pass runs when the whole demand exceeds cap (|V| - 1),
+    which rules that out.  Else one unforced cut names the maximal
     minimizer over all W; the minimizers of this submodular function,
     0 at the empty set, are closed under union, so a nonempty one is the
-    answer.  Only an empty one calls for a sweep of forced cuts.
+    answer.  An empty one calls for one forced cut per block of a pass
+    that offered every edge, at its least vertex, in order, on the same
+    warm engine.
+
+    Why per block: let refused(X) be the demand the pass refused on the
+    edges inside X.  A block B is tight, so f(B) = cap - refused(B) <=
+    f(X) for every nonempty X inside B, and for W meeting B
+    submodularity gives f(W | B) <= f(W) + f(B) - f(W & B) <= f(W).  So
+    the maximal minimizer forced at any vertex of B holds B, and B's
+    vertices share it: the first minimum is at some block's least vertex.
     """
-    if _gathers(h, cap, demands, sum(demands)):
-        return None
-    g = build_supermodular_gadget(h, demands, [cap] * h.n)
-    best = GadgetEngine(g).solve()
-    if not best.witness:
-        best = min(forced_sweep(g), key=lambda info: info.value)
-    elif best.value > 0:
-        raise AssertionError("a nonempty unforced witness scores above the empty set")
+    goal = sum(demands)
+    gathering = None
+    if goal <= cap * (h.n - 1):
+        total, gathering = _pass(h, cap, demands, goal)
+        if total == goal:
+            return None
+    engine = GadgetEngine(build_supermodular_gadget(h, demands, [cap] * h.n))
+    best = engine.solve()
+    if best.witness:
+        if best.value > 0:
+            raise AssertionError("a nonempty unforced witness scores above the empty set")
+    else:
+        if gathering is None:
+            _, gathering = _pass(h, cap, demands, goal)
+        forced = []
+        for block in gathering.blocks():
+            engine.force(block[0])
+            forced.append(engine.solve())
+        best = min(forced, key=lambda info: info.value)
     if best.value >= cap:
         raise AssertionError("the cuts find no violated set the gathering pass rejected")
     return best.witness
@@ -363,27 +419,16 @@ def _greedy(h: Hypergraph, order: Iterable[int]) -> tuple[list[int], _Gathering]
 def rank(h: Hypergraph, edge_ids: Iterable[int] | None = None) -> RankResult:
     """Rank of the selected edges, with a witness partition.
 
-    A basis B is kept in id order, stopping at |V| - 1 edges.  Each edge
-    of B lying in a B-tight set (|X| - 1 edges of B inside X) yields
-    one, and the unions of overlapping ones are the maximal tight sets:
-    the coarsest partition attaining the rank formula, whose value
-    |V| - |P| + |crossing| is checked to equal |B|.
+    A basis B is kept in id order, stopping at |V| - 1 edges.  The
+    blocks of its pass, the maximal B-tight sets (|X| - 1 edges of B
+    inside X), are the coarsest partition attaining the rank formula,
+    whose value |V| - |P| + |crossing| is checked to equal |B|.
     """
     if h.n < 1:
         raise ValueError("no vertices")
     ids = h._edge_id_list(edge_ids)
     basis, gathering = _greedy(h, ids)
-    root = list(range(h.n))
-    for b in basis:
-        tight = gathering.tight_set(h.edges[b].vertices)
-        if tight is not None:
-            r0 = _find(root, min(tight))
-            for v in tight:
-                root[_find(root, v)] = r0
-    blocks: dict[int, list[int]] = {}
-    for v in range(h.n):
-        blocks.setdefault(_find(root, v), []).append(v)
-    p = Partition(h.n, tuple(tuple(b) for b in blocks.values()))
+    p = gathering.blocks()
     r = len(basis)
     crossing = h.cross_edges(ids, p)
     if r != h.n - len(p.blocks) + len(crossing):
@@ -465,9 +510,10 @@ def separate_polytope(h: Hypergraph, x: EdgeVector) -> SeparationOutcome:
     nums(F') <= scale (|V(F')| - 1); when x(E) <= |V| - 1, the gathering
     pass tests that with no cut.  Where it rejects, `_most_violated`
     finds the first minimum in vertex order of |W| - x(E[W]) over
-    nonempty vertex sets W, by one cut when it is at most 0.  That
-    minimum lies below 1 and yields the most violated induced-set
-    inequality x(E[W]) <= |W| - 1, also returned in partition form.
+    nonempty vertex sets W, by one cut when it is at most 0, else by one
+    forced cut per block of the pass.  That minimum lies below 1 and
+    yields the most violated induced-set inequality x(E[W]) <= |W| - 1,
+    also returned in partition form.
     """
     x.require_length(h.m, "point")
     for e in range(h.m):

@@ -35,17 +35,10 @@ final residual network.  Any maximum flow saturates every minimum cut,
 so that set lies inside each minimum cut's source side and is itself
 one: it is the unique inclusion-minimal minimum cut, whichever maximum
 flow was reached and however the phases were layered.  Callers rely on
-that for deterministic tie-breaking.  By default one forward search
-after the last phase finds it, and the check of its capacity walks the
-side with fewer nodes: the arcs out of the reached nodes, or the arcs
-into the unreached ones.  A subclass that knows its network's shape may
-name the unreached nodes itself (`CutEngine._sink_side`); the engine
-asks for them only while most arcs out of the source still have room,
-when the forward search would walk nearly every node, and checks that
-no residual arc enters them before it sums the arcs that do.  In the
-gadgets either side can be the small one: a forced sweep often leaves
-only the source on its side, while a strength cut leaves a few vertices
-and their edges on the sink's.
+that for deterministic tie-breaking.  One forward search after the last
+phase finds it, and the check of its capacity walks the side with fewer
+nodes: the arcs out of the reached nodes, or the arcs into the
+unreached ones.
 """
 
 from __future__ import annotations
@@ -150,15 +143,13 @@ def _rational(num: int, scale: int) -> int | Fraction:
 class CutResult:
     """The inclusion-minimal minimum s-t cut and its capacity.
 
-    One side names the cut: source_side, the nodes reachable from the
-    source, or, when the engine's subclass named the unreached nodes
-    itself, sink_side, with source_side None.  capacity is an int when
-    it is whole and a Fraction otherwise.
+    source_side is the nodes reachable from the source in the final
+    residual network; capacity is an int when it is whole and a Fraction
+    otherwise.
     """
 
-    source_side: frozenset[int] | None
+    source_side: frozenset[int]
     capacity: int | Fraction
-    sink_side: frozenset[int] | None = None
 
 
 class NoFiniteCutError(RuntimeError):
@@ -184,16 +175,13 @@ class CutEngine:
     solve() layers each phase by residual distance to the sink, searching
     back from the arcs in open_sink, augments along arcs one unit closer
     to it, and stops once open_source is empty or the backward search
-    cannot reach the source.  Then it finds the inclusion-minimal cut.
-    While at most half the arcs out of the source have room, or when
-    _sink_side() names no side, one forward search from the source gives
-    the source side.  The capacities of the arcs leaving it must sum to
-    the flow minus the shift.  That sum runs over the smaller side of the
-    cut: the out-slots of the reached nodes when they are at most half of
-    all nodes, else the in-slots of the unreached ones.  A side named by
-    _sink_side() is checked from its own slots: no residual arc may enter
-    it, and the arcs that do enter it must sum to the same value.  Either
-    way an infinite arc across the cut fails the check.
+    cannot reach the source.  Then one forward search from the source
+    gives the source side of the inclusion-minimal cut.  The capacities
+    of the arcs leaving it must sum to the flow minus the shift.  That
+    sum runs over the smaller side of the cut: the out-slots of the
+    reached nodes when they are at most half of all nodes, else the
+    in-slots of the unreached ones.  An infinite arc across the cut fails
+    the check.
 
     inf_from_source counts the infinite arcs leaving the source.  Only a
     path of infinite arcs out of the source can leave no finite cut, so
@@ -343,16 +331,6 @@ class CutEngine:
         if head == t:
             (self.open_sink.add if room else self.open_sink.discard)(2 * arc + 1)
 
-    def _sink_side(self) -> list[int] | None:
-        """The nodes unreachable from the source in the residual network, or None.
-
-        solve() asks for them after the last phase, while most arcs out of
-        the source still have room, and checks what it gets.  The base
-        engine knows nothing of its network's shape and names no side, so
-        solve() searches forward from the source instead.
-        """
-        return None
-
     def _infinite_reach(self) -> bytearray:
         seen = bytearray(self.n)
         seen[self.s] = 1
@@ -455,29 +433,6 @@ class CutEngine:
                 it[v] += 1
         self.flow = flow
         caps = self.caps
-
-        # while most arcs out of s have room a forward search would reach
-        # nearly every node: a subclass may name the few it would miss
-        sink = self._sink_side() if 2 * len(open_source) > len(slots[s]) else None
-        if sink is not None:
-            inside = bytearray(n)
-            for v in sink:
-                inside[v] = 1
-            assert inside[t] and not inside[s], "sink side misses the sink or holds the source"
-            # slot b of a sink-side node w whose far end to[b] is outside:
-            # the arc to[b] -> w (b odd) crosses the cut, and the residual
-            # arc to[b] -> w, slot b ^ 1, must be empty for either parity
-            capacity = 0
-            for w in sink:
-                for b in slots[w]:
-                    if not inside[to[b]]:
-                        if b & 1:
-                            c = caps[b >> 1]
-                            assert c != -1, "minimum cut crosses an infinite arc"
-                            capacity += c
-                        assert res[b ^ 1] == 0, "residual arc enters the sink side"
-            assert capacity == flow - self.shift, "max-flow / min-cut mismatch"
-            return CutResult(None, _rational(capacity, self.scale), frozenset(sink))
 
         # the nodes reachable from s in the final residual network
         seen = bytearray(n)

@@ -13,11 +13,14 @@ exactly; each runs at most |V| rounds.  All arithmetic is rational, so
 termination tests are exact equalities, not tolerances.
 
 A round's ratio is certified with no cut when the gathering pass
-(`matroid._gathers`) accepts: for arboricity every edge's demand fits,
-for strength the accepted total reaches its bound.  Only when the pass
-rejects does the round run its min cuts, which find the improving
-optimizer; a cut that certified the ratio instead would contradict the
-pass, and raises.  Arboricity's round asks separation's question.
+(`matroid._pass`) accepts: for arboricity every edge's demand fits, for
+strength the accepted total reaches its bound.  Where strength's pass
+rejects, its blocks, the maximal tight sets, are the improving
+partition, and no cut runs at all.  Arboricity's round asks
+separation's question, `matroid._most_violated`, whose cuts find the
+improving set; a cut that certified the ratio instead would contradict
+the pass, and raises.  The checks raise AssertionError with no
+`assert`, so `python -O` keeps them.
 """
 
 from __future__ import annotations
@@ -27,8 +30,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .core import EdgeVector, Hypergraph, LoopPresentError, Partition
-from .matroid import _gathers, _most_violated
-from .partition_oracle import min_partition
+from .matroid import _most_violated, _pass
 
 
 @dataclass(frozen=True)
@@ -63,14 +65,20 @@ def strength(h: Hypergraph, capacities: EdgeVector | None = None) -> StrengthRes
     """Exact strength under nonnegative rational edge capacities (default 1).
 
     Newton iteration from the all-singletons partition.  At ratio p/q
-    and capacities a/s, each round first gathers q a_e units per edge,
-    partly where only part fits, on capacity p s per vertex.  The
-    accepted total is then the polymatroid rank (Edmonds), the minimum
-    over partitions P of q a(crossing P) + p s (|V| - |P|), so it reaches
-    p s (|V| - 1) exactly when no partition beats the ratio, which
-    certifies it.  Otherwise the partition oracle finds the most violated
-    inequality, and its optimizer becomes the new anchor, with a strictly
-    lower ratio.
+    and capacities a/s, each round offers every edge q a_e units, taking
+    what fits on capacity p s per vertex.  The accepted total is then
+    the polymatroid rank (Edmonds), the minimum over partitions P of
+    v(P) = q a(crossing P) + p s (|V| - |P|), so it reaches p s (|V| - 1)
+    exactly when no partition beats the ratio, which certifies it.
+    Otherwise the pass's blocks are the new anchor, at a lower ratio.
+
+    The blocks attain that minimum.  An edge refused in part lies in a
+    tight set once it takes what fits, the reached set of its failed
+    gathering, and tight sets stay tight, so it lies inside a block.
+    The crossing edges were thus taken whole, and each block B holds
+    p s (|B| - 1) units: the total is v(P) for the block partition P.
+    Each block of a minimizing partition is tight, so this is the
+    coarsest minimizer; the tests compare it with `min_partition`'s.
     """
     if h.n < 2:
         raise ValueError("strength needs at least two vertices")
@@ -88,23 +96,29 @@ def strength(h: Hypergraph, capacities: EdgeVector | None = None) -> StrengthRes
     iterations = 0
     while True:
         iterations += 1
-        assert iterations <= h.n, "Newton iteration exceeded |V| rounds"
+        if iterations > h.n:
+            raise AssertionError("Newton iteration exceeded |V| rounds")
         # at ratio p/q and capacities a/scale, the packing reaches
         # p scale (|V| - 1) exactly when no partition beats the ratio
         p, q = ratio.numerator, ratio.denominator
         cap = p * scale
-        if _gathers(h, cap, [q * a for a in nums], cap * (h.n - 1)):
-            assert ratio == c.sum_over(h.cross_edges(None, anchor)) / (len(anchor.blocks) - 1)
+        goal = cap * (h.n - 1)
+        total, gathering = _pass(h, cap, [q * a for a in nums], goal)
+        if total >= goal:
+            if ratio != c.sum_over(h.cross_edges(None, anchor)) / (len(anchor.blocks) - 1):
+                raise AssertionError("the certified ratio is not the anchor's")
             return StrengthResult(sigma=ratio, critical_partition=anchor,
                                   integer_packing=math.floor(ratio), iterations=iterations)
-        res = min_partition(h, c, ratio)
-        if not res.violated:
-            raise AssertionError("the partition oracle certifies a ratio the gathering pass rejected")
-        cand = res.partition
+        cand = gathering.blocks()
+        crossing = h.cross_edges(None, cand)
         blocks = len(cand.blocks)
-        assert blocks >= 2, "negative value at the one-block partition"
-        new_ratio = c.sum_over(h.cross_edges(None, cand)) / (blocks - 1)
-        assert new_ratio < ratio, "candidate ratio failed to decrease"
+        if not total == q * sum([nums[e] for e in crossing]) + cap * (h.n - blocks) < goal:
+            raise AssertionError("the blocks' partition value is not the rejected total")
+        if blocks < 2:
+            raise AssertionError("negative value at the one-block partition")
+        new_ratio = c.sum_over(crossing) / (blocks - 1)
+        if new_ratio >= ratio:
+            raise AssertionError("candidate ratio failed to decrease")
         if new_ratio == 0:
             # a multi-block partition with nothing crossing: disconnected,
             # zero is attained and no ratio can go lower
@@ -123,7 +137,7 @@ def arboricity(h: Hypergraph) -> ArboricityResult:
     Otherwise the returned set, the first minimizer of p |W| - q |E[W]|
     over nonempty W in vertex order, is strictly denser and becomes the
     anchor.  One unforced cut finds it whenever the minimum is at most
-    0; only otherwise does a per-vertex sweep of forced cuts run.
+    0; only otherwise do forced cuts run, one per block of the pass.
     """
     for e in h.edges:
         if e.is_loop:
@@ -138,18 +152,22 @@ def arboricity(h: Hypergraph) -> ArboricityResult:
     iterations = 0
     while True:
         iterations += 1
-        assert iterations <= h.n, "Newton iteration exceeded |V| rounds"
+        if iterations > h.n:
+            raise AssertionError("Newton iteration exceeded |V| rounds")
         # at density p/q, no set is denser than the anchor, whose ratio
         # is the density, exactly when every edge family F has
         # q |F| <= p (|V(F)| - 1)
         cand = _most_violated(h, density.numerator, [density.denominator] * h.m)
         if cand is None:
-            assert density == Fraction(len(h.induced_edges(None, witness)), len(witness) - 1)
+            if density != Fraction(len(h.induced_edges(None, witness)), len(witness) - 1):
+                raise AssertionError("the certified density is not the witness's")
             return ArboricityResult(rho=density, k=math.ceil(density), witness=witness,
                                     iterations=iterations)
         size = len(cand)
-        assert size >= 2, "improving set cannot be a singleton"
+        if size < 2:
+            raise AssertionError("improving set cannot be a singleton")
         inside = len(h.induced_edges(None, cand))
         new_density = Fraction(inside, size - 1)
-        assert new_density > density, "density failed to increase"
+        if new_density <= density:
+            raise AssertionError("density failed to increase")
         witness, density = cand, new_density

@@ -1,5 +1,10 @@
 """Most-violated partition inequality via a covering-LP greedy and min cuts.
 
+This is the paper's reduction, kept as the reference: no operation of
+the package calls it.  Strength reads its partitions from the gathering
+pass's blocks (see `packing`), and the tests compare those with this
+oracle round by round.
+
 Given nonnegative edge weights x and a positive per-block credit t, the
 oracle minimizes
 

@@ -56,6 +56,23 @@ def random_hypergraph(rng: random.Random, n: int, m: int, max_size: int,
     return Hypergraph(n, edges)
 
 
+def crit9(seed: int, n: int) -> tuple[Hypergraph, EdgeVector, EdgeVector]:
+    """A hypergraph shaped like acceptance criterion 9 at m = 5n, with its weights and point.
+
+    The draws of the benchmark's generator, `crit9_instance(seed, n, 5 * n)`
+    in perfbench/instances.py: one each for n and m, `random_hypergraph`'s
+    connected draws at edge sizes 2..6, weights 0..10 and a point of
+    quarters in [0, 1].
+    """
+    rng = random.Random(seed)
+    rng.randint(n, n)
+    rng.randint(5 * n, 5 * n)
+    h = random_hypergraph(rng, n, 5 * n, 6, connected=True)
+    weights = EdgeVector.of([rng.randint(0, 10) for _ in range(h.m)])
+    point = EdgeVector.of([Fraction(rng.randint(0, 4), 4) for _ in range(h.m)])
+    return h, weights, point
+
+
 def random_weights(rng: random.Random, m: int, lo: int = 0, hi: int = 6,
                    den: int = 2) -> EdgeVector:
     return EdgeVector.of([Fraction(rng.randint(lo, hi), rng.randint(1, den))
@@ -75,12 +92,10 @@ def reference_interpretation(g, cut):
 
     Returns (source_vertices, witness, edges_inside, value) from the
     gadget's public fields alone, for comparison with
-    interpret_gadget_cut, which reads only the side the cut names.
+    interpret_gadget_cut, which reads only the cut's source side and the
+    edges meeting it.
     """
-    side = cut.source_side
-    if side is None:
-        side = frozenset(range(g.network.node_count)) - cut.sink_side
-    source = frozenset(v for v, node in g.vertex_nodes.items() if node in side)
+    source = frozenset(v for v, node in g.vertex_nodes.items() if node in cut.source_side)
     witness = frozenset(g.vertex_nodes) - source
     inside = frozenset(e.id for e in g.edges if witness.issuperset(e.vertices))
     value = Fraction(sum(g.charges[v] for v in witness) - sum(g.weights[e] for e in inside),

@@ -1,17 +1,20 @@
 """The gathering pass (matroid._Gathering) and the answers it certifies.
 
 The pass accepts edge demands onto vertex capacities while every edge
-family F keeps demand(F) <= cap (|V(F)| - 1).  Rank, independence and
-the greedy forest run it at cap 1 with unit demands.  Arboricity,
-strength and separation run it before their cuts and fall back to them
-when it rejects; arboricity and separation fall back through one
-routine, matroid._most_violated.  These tests compare the pass and its
-tight sets with enumeration and the routine with a full sweep of forced
-cuts, pin the fallback's witnesses and cut counts, check that an
-accepting run makes no cut, and break the pass's certificates.
-tests/test_packing.py and tests/test_matroid.py compare the answers
-with enumeration, and tests/test_matroid.py breaks the trimming that
-certifies a hyperforest.
+family F keeps demand(F) <= cap (|V(F)| - 1); its maximal tight sets are
+its blocks.  Rank, independence and the greedy forest run it at cap 1
+with unit demands.  Arboricity, strength and separation run it first.
+Where it rejects, strength takes its blocks as the next anchor, and
+arboricity and separation fall back through one routine,
+matroid._most_violated: one unforced cut, then one forced cut per block.
+These tests compare the pass, its tight sets and its blocks with
+enumeration; the strength anchors with the partition oracle and the
+routine with fresh forced cuts at every vertex, the kept cut path; pin
+the fallback's witnesses and cut counts, on the criterion-9 generator
+too; check that an accepting run makes no cut; and break the pass's
+certificates.  tests/test_packing.py and tests/test_matroid.py compare
+the answers with enumeration, and tests/test_matroid.py breaks the
+trimming that certifies a hyperforest.
 """
 
 import itertools
@@ -34,14 +37,17 @@ from hypermat import (
     Partition,
     SetViolation,
     arboricity,
+    interpret_gadget_cut,
+    min_partition,
+    min_st_cut,
     separate_polytope,
     strength,
 )
 from hypermat.brute import brute_min_partition
-from hypermat.gadgets import GadgetCutInterpretation, build_supermodular_gadget, forced_sweep
-from hypermat.matroid import _Gathering, _gathers, _most_violated
+from hypermat.gadgets import GadgetCutInterpretation, build_supermodular_gadget
+from hypermat.matroid import _Gathering, _most_violated, _pass
 
-from helpers import examples, hypergraphs, random_hypergraph
+from helpers import crit9, examples, hypergraphs, random_hypergraph
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -64,9 +70,49 @@ def _count_solves(monkeypatch):
 
 
 def _swept(h, cap, demands):
-    """The first minimizer of cap |W| - demand(E[W]) over nonempty W, by a full forced sweep."""
-    g = build_supermodular_gadget(h, demands, [cap] * h.n, forced=0)
-    return min(forced_sweep(g), key=lambda info: info.value).witness
+    """The first minimizer of cap |W| - demand(E[W]) over nonempty W, by a fresh forced cut at each vertex."""
+    cuts = []
+    for v in range(h.n):
+        g = build_supermodular_gadget(h, demands, [cap] * h.n, forced=v)
+        cuts.append(interpret_gadget_cut(g, min_st_cut(g.network)))
+    return min(cuts, key=lambda info: info.value).witness
+
+
+def _check_most_violated(h, cap, demands):
+    """_most_violated against the pass and fresh forced cuts; whether the pass rejected."""
+    goal = sum(demands)
+    if _pass(h, cap, demands, goal)[0] == goal:
+        assert _most_violated(h, cap, demands) is None
+        return False
+    assert _most_violated(h, cap, demands) == _swept(h, cap, demands)
+    return True
+
+
+def _check_strength_anchors(h, caps):
+    """Each rejected strength round's anchor against min_partition at that round's ratio.
+
+    Every `blocks()` call in strength reads a rejected round.  Returns
+    how many rounds rejected.
+    """
+    c = caps if caps is not None else EdgeVector.ones(h.m)
+    found = []
+    blocks = _Gathering.blocks
+
+    def spy(self):
+        out = blocks(self)
+        found.append(out)
+        return out
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(_Gathering, "blocks", spy)
+        res = strength(h, caps)
+    anchor = Partition.singletons(h.n)
+    for cand in found:
+        ratio = c.sum_over(h.cross_edges(None, anchor)) / (len(anchor.blocks) - 1)
+        assert cand == min_partition(h, c, ratio).partition
+        anchor = cand
+    assert anchor == res.critical_partition
+    return len(found)
 
 
 def _past_the_screen():
@@ -91,7 +137,7 @@ class TestAgainstEnumeration:
     @given(hypergraphs(), st.integers(0, 6), st.data())
     def test_whole_demand(self, h, cap, data):
         demands = data.draw(st.lists(st.integers(0, 8), min_size=h.m, max_size=h.m))
-        assert _gathers(h, cap, demands, sum(demands)) == _sparse(h, cap, demands)
+        assert (_pass(h, cap, demands, sum(demands))[0] == sum(demands)) == _sparse(h, cap, demands)
 
     @settings(max_examples=examples(200), deadline=None)
     @given(hypergraphs(min_n=2), st.integers(1, 6), st.data())
@@ -100,7 +146,7 @@ class TestAgainstEnumeration:
         # demand(crossing P) < cap (|P| - 1)
         demands = data.draw(st.lists(st.integers(0, 8), min_size=h.m, max_size=h.m))
         value, _ = brute_min_partition(h, EdgeVector.of(demands), Fraction(cap))
-        assert _gathers(h, cap, demands, cap * (h.n - 1)) == (value == 0)
+        assert (_pass(h, cap, demands, cap * (h.n - 1))[0] == cap * (h.n - 1)) == (value == 0)
 
 
 class TestTightSet:
@@ -129,6 +175,32 @@ class TestTightSet:
         gathering.certify()
         gathering.certify_forest()
 
+    @settings(max_examples=examples(200), deadline=None)
+    @given(hypergraphs(), st.integers(1, 6), st.data())
+    def test_blocks_match_enumeration(self, h, cap, data):
+        # every edge offered its demand; X is tight when the accepted
+        # amounts inside it reach cap (|X| - 1), and the block of v is the
+        # union of the tight sets holding v
+        demands = data.draw(st.lists(st.integers(0, 8), min_size=h.m, max_size=h.m))
+        gathering = _Gathering(h.n, cap)
+        for e, demand in enumerate(demands):
+            if demand:
+                gathering.add(h.edges[e].vertices, demand)
+
+        def tight(x):
+            inside = [a for verts, a in zip(gathering.slots, gathering.amount) if x.issuperset(verts)]
+            return sum(inside) == cap * (len(x) - 1)
+
+        tight_sets = [set(x) for r in range(1, h.n + 1)
+                      for x in itertools.combinations(range(h.n), r) if tight(set(x))]
+        expected = []
+        for v in range(h.n):
+            block = sorted(set().union(*[x for x in tight_sets if v in x]))
+            if block not in expected:
+                expected.append(block)
+        assert gathering.blocks() == Partition(h.n, tuple([tuple(b) for b in expected]))
+        gathering.certify()
+
 
 class TestMostViolated:
     @settings(max_examples=examples(200), deadline=None)
@@ -136,10 +208,7 @@ class TestMostViolated:
     def test_matches_the_full_sweep(self, h, cap, data):
         # zero demands come up, and loops keep demand 0, as separation's do
         demands = [0 if e.is_loop else data.draw(st.integers(0, 8)) for e in h.edges]
-        if _gathers(h, cap, demands, sum(demands)):
-            assert _most_violated(h, cap, demands) is None
-        else:
-            assert _most_violated(h, cap, demands) == _swept(h, cap, demands)
+        _check_most_violated(h, cap, demands)
 
     def test_one_cut_when_the_whole_set_violates(self, monkeypatch):
         # a crit9-shaped point: x(E) > n - 1, so W = V scores below 0 and the
@@ -157,15 +226,19 @@ class TestMostViolated:
 
     def test_sweep_when_every_set_scores_above_zero(self, monkeypatch):
         # the violated set {0, 3, 6} scores 3 - 7/3 = 2/3 > 0, so the unforced
-        # cut names the empty set and all n forced cuts follow it
+        # cut names the empty set and one forced cut per block follows it
         h, x = _past_the_screen()
+        nums, scale = x._integers()
+        blocks = _pass(h, scale, nums, sum(nums))[1].blocks().blocks
+        assert len(blocks) < h.n
         count = _count_solves(monkeypatch)
         assert separate_polytope(h, x).witness == frozenset({0, 3, 6})
-        assert count[0] == h.n + 1
+        assert count[0] == 1 + len(blocks)
 
     def test_forged_rejection(self, monkeypatch):
         # one edge on three vertices fits, so every set scores at least cap
-        monkeypatch.setattr("hypermat.matroid._gathers", lambda *args: False)
+        monkeypatch.setattr("hypermat.matroid._pass",
+                            lambda h, cap, demands, goal: (0, _Gathering(h.n, cap)))
         with pytest.raises(AssertionError, match="no violated set"):
             _most_violated(Hypergraph(3, [[0, 1]]), 2, [2])
 
@@ -182,8 +255,70 @@ class TestMostViolated:
             _most_violated(Hypergraph(3, [[0, 1], [0, 1]]), 1, [1, 1])
 
 
+class TestAgainstTheCutPath:
+    """The pass's fallbacks against the partition oracle and fresh forced cuts."""
+
+    @settings(max_examples=examples(150), deadline=None)
+    @given(hypergraphs(min_n=2), st.data())
+    def test_strength_anchors(self, h, data):
+        caps = data.draw(st.none() | st.lists(
+            st.builds(Fraction, st.integers(0, 6), st.integers(1, 4)),
+            min_size=h.m, max_size=h.m).map(EdgeVector.of))
+        _check_strength_anchors(h, caps)
+
+    @pytest.mark.parametrize("seed", [1, 2, 3, 4, 5])
+    def test_crit9_n60(self, seed):
+        # strength at unit capacities and at the weights, separation at the
+        # inside point x_e = (n - 1)/m and at the quarters point, and
+        # arboricity's first round: only the quarters point is rejected
+        h, weights, point = crit9(seed, 60)
+        rejected = [_check_strength_anchors(h, caps) for caps in (None, weights)]
+        for x in (EdgeVector.constant(h.m, Fraction(59, h.m)), point):
+            nums, scale = x._integers()
+            rejected.append(_check_most_violated(h, scale, nums))
+        density = Fraction(h.m, 59)
+        rejected.append(_check_most_violated(h, density.numerator, [density.denominator] * h.m))
+        assert rejected == [0, 0, False, True, False]
+
+    def test_crit9_n200_seed20(self):
+        # the pass rejects strength's first round at both capacities, the
+        # inside point and arboricity's first round, and the last two sweep
+        h, weights, _ = crit9(20, 200)
+        assert [_check_strength_anchors(h, caps) for caps in (None, weights)] == [1, 1]
+        x = EdgeVector.constant(h.m, Fraction(199, h.m))
+        nums, scale = x._integers()
+        assert _check_most_violated(h, scale, nums)
+        density = Fraction(h.m, 199)
+        assert _check_most_violated(h, density.numerator, [density.denominator] * h.m)
+
+
+class TestCliff:
+    def test_crit9_n800_seed11(self, monkeypatch):
+        # vertex 67 hangs by 5 edges, so V less 67 is the densest set, and
+        # each pass rejects with two blocks: one unforced cut names no set,
+        # then one forced cut per block; strength reads the blocks with no
+        # cut.  A forced cut per vertex took 801 solves, and the partition
+        # oracle 800.  The answers are those of that cut path.
+        h, _, _ = crit9(11, 800)
+        rest = frozenset(range(h.n)) - {67}
+        count = _count_solves(monkeypatch)
+        out = separate_polytope(h, EdgeVector.constant(h.m, Fraction(h.n - 1, h.m)))
+        assert isinstance(out, SetViolation) and out.witness == rest
+        assert (out.lhs, out.rhs, h.m - len(out.edge_set)) == (Fraction(638401, 800), 798, 5)
+        assert count[0] == 3
+        count[0] = 0
+        res = arboricity(h)
+        assert (res.rho, res.k, res.witness, res.iterations) == (Fraction(3995, 798), 6, rest, 2)
+        assert count[0] == 3
+        count[0] = 0
+        res = strength(h)
+        assert (res.sigma, res.integer_packing, res.iterations) == (5, 5, 2)
+        assert res.critical_partition == Partition(h.n, (tuple(sorted(rest)), (67,)))
+        assert count[0] == 0
+
+
 class TestFallback:
-    """Instances whose first round rejects: the cuts answer, as before the pass."""
+    """Instances whose first round rejects: the blocks and the cuts answer, as the cut path did."""
 
     def test_arboricity_three_rounds(self):
         h = Hypergraph(5, [[2, 0], [2, 0], [3, 4, 0, 1], [0, 3], [1, 0, 3], [2, 0], [2, 3],

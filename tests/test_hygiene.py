@@ -97,6 +97,22 @@ def test_gadget_cuts_take_one_path():
     assert stray == []
 
 
+def test_no_operation_calls_the_partition_oracle():
+    # strength reads its partitions from the gathering pass's blocks;
+    # min_partition stays as the reference the tests compare them with
+    callers = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        if path.name == "partition_oracle.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Call):
+                func = node.func
+                name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+                if name == "min_partition":
+                    callers.append(f"{path.name}:{node.lineno}")
+    assert callers == []
+
+
 def _asserts(name):
     tree = ast.parse((PACKAGE / name).read_text(encoding="utf-8"))
     return [node.lineno for node in ast.walk(tree) if isinstance(node, ast.Assert)]
@@ -114,3 +130,9 @@ def test_reinforcement_holds_no_assert():
     # so do reinforcement's round checks, duals and optimality proof
     asserts = _asserts("reinforcement.py")
     assert asserts == [], f"reinforcement.py asserts on lines {asserts}"
+
+
+def test_packing_holds_no_assert():
+    # nor do strength's and arboricity's Newton checks
+    asserts = _asserts("packing.py")
+    assert asserts == [], f"packing.py asserts on lines {asserts}"

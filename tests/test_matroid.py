@@ -281,12 +281,14 @@ class TestCertificates:
         with pytest.raises(AssertionError, match="no sparsity violator"):
             is_independent(h)
 
-    def test_forged_tight_sets_miss_the_rank(self, monkeypatch, k3):
-        # with no tight set every vertex is a block, and all three edges
-        # cross that partition, though the rank is 2
+    def test_forged_tight_sets_miss_the_rank(self, monkeypatch):
+        # a triangle and an isolated vertex: the basis holds 2 of the 3
+        # units that would make V tight, so the block readout walks its
+        # slots.  With no tight set every vertex is a block, and all three
+        # edges cross that partition, though the rank is 2
         monkeypatch.setattr(_Gathering, "tight_set", lambda self, verts: None)
         with pytest.raises(AssertionError, match="does not attain the rank"):
-            rank(k3)
+            rank(Hypergraph(4, [[0, 1], [1, 2], [0, 2]]))
 
     def test_forged_violated_set(self, monkeypatch, k3):
         monkeypatch.setattr("hypermat.matroid._most_violated", lambda *args: frozenset({0, 1}))

@@ -472,61 +472,6 @@ class TestCutCheckSides:
             engine.solve()
 
 
-class _NamedSink(CutEngine):
-    """A CutEngine whose sink side is named from outside, as a gadget's engine names its own."""
-
-    def __init__(self, network: FlowNetwork, side: list[int]) -> None:
-        super().__init__(network)
-        self.side = side
-
-    def _sink_side(self) -> list[int]:
-        return self.side
-
-
-# every arc out of s keeps room, so the engine asks for the sink side: {t}
-_OPEN = _fan(5, Fraction(3), Fraction(1, 2))
-
-
-class TestSinkSideCheck:
-    # the checks of TestCutCheckSides, on a side the engine did not search for
-    def test_named_side_against_brute(self):
-        cut = _NamedSink(_OPEN, [6]).solve()
-        assert cut.source_side is None and cut.sink_side == {6}
-        value, source_side = brute_cut(_OPEN)
-        assert cut.capacity == value and cut.sink_side == frozenset(range(7)) - source_side
-
-    def test_not_asked_while_most_source_arcs_are_full(self):
-        class Refusing(CutEngine):
-            def _sink_side(self):
-                raise AssertionError("asked for a sink side")
-
-        net = _fan(5, Fraction(1, 2), Fraction(3))
-        assert Refusing(net).solve() == min_st_cut(net)
-
-    def test_tampered_shift_fails_the_check(self):
-        engine = _NamedSink(_OPEN, [6])
-        assert engine.solve().sink_side == {6}
-        engine.shift += 1
-        with pytest.raises(AssertionError, match="max-flow / min-cut mismatch"):
-            engine.solve()
-
-    def test_infinite_crossing_arc_fails_the_check(self):
-        engine = _NamedSink(_OPEN, [6])
-        engine.solve()
-        engine.caps[5] = -1  # arc 1 -> t, saturated and crossing
-        with pytest.raises(AssertionError, match="minimum cut crosses an infinite arc"):
-            engine.solve()
-
-    def test_residual_arc_entering_the_sink_side_fails_the_check(self):
-        # arc s -> 1 still has room, so node 1 is reached from s
-        with pytest.raises(AssertionError, match="residual arc enters the sink side"):
-            _NamedSink(_OPEN, [6, 1]).solve()
-
-    def test_side_without_the_sink_fails_the_check(self):
-        with pytest.raises(AssertionError, match="sink side misses the sink"):
-            _NamedSink(_OPEN, [1]).solve()
-
-
 _CAPS = st.one_of(st.just(INF), st.just(Fraction(0)),
                   st.builds(Fraction, st.integers(0, 8), st.integers(1, 4)))
 

@@ -1,6 +1,10 @@
 import math
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -15,8 +19,15 @@ from hypermat import (
     strength,
 )
 from hypermat.brute import brute_arboricity, brute_strength
+from hypermat.matroid import _Gathering
 
 from helpers import examples, hypergraphs, random_hypergraph, random_weights
+
+SRC = Path(__file__).resolve().parents[1] / "src"
+
+# three parallel edges {0, 1} and a bridge {1, 2}: the singletons score
+# 4/2, and strength's first round rejects with blocks {0, 1} and {2}
+BRIDGED = Hypergraph(3, [[0, 1], [0, 1], [0, 1], [1, 2]])
 
 
 class TestStrength:
@@ -156,3 +167,30 @@ class TestAgainstBruteProperty:
         assert res.rho == expected
         assert res.k == math.ceil(expected)
         assert Fraction(len(h.induced_edges(None, res.witness)), len(res.witness) - 1) == expected
+
+
+class TestChecks:
+    def test_blocks_anchor_the_bridge(self):
+        res = strength(BRIDGED)
+        assert (res.sigma, res.critical_partition, res.iterations) \
+            == (1, Partition(3, ((0, 1), (2,))), 2)
+
+    def test_forged_blocks(self, monkeypatch):
+        # the singletons in place of the blocks do not attain the total
+        monkeypatch.setattr(_Gathering, "blocks", lambda self: Partition.singletons(len(self.free)))
+        with pytest.raises(AssertionError, match="partition value is not the rejected total"):
+            strength(BRIDGED)
+
+    def test_checks_survive_optimize(self):
+        code = (
+            "from hypermat import Hypergraph, Partition, strength\n"
+            "from hypermat.matroid import _Gathering\n"
+            "_Gathering.blocks = lambda self: Partition.singletons(len(self.free))\n"
+            "try:\n"
+            "    strength(Hypergraph(3, [[0, 1], [0, 1], [0, 1], [1, 2]]))\n"
+            "except AssertionError as exc:\n"
+            "    print('raised:', exc)\n"
+        )
+        out = subprocess.run([sys.executable, "-O", "-c", code], capture_output=True, text=True,
+                             env={**os.environ, "PYTHONPATH": str(SRC)}, check=True)
+        assert out.stdout == "raised: the blocks' partition value is not the rejected total\n"
