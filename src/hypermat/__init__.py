@@ -4,17 +4,17 @@ The package solves rank, independence, polytope separation, partition
 inequality separation, strength, fractional arboricity, and network
 reinforcement on hypergraphs.  One gathering pass of integer units over
 the vertices answers rank, independence and the greedy forest at one
-unit per vertex, and certifies strength, arboricity and polytope
-membership.  Where it rejects, strength takes the pass's maximal tight
-sets as its next partition; separation, arboricity, reinforcement and
-the partition oracle take their answers from a short sequence of
-minimum-cut problems on small auxiliary digraphs.
+unit per vertex and every reinforcement round at k units, and certifies
+strength, arboricity and polytope membership.  Where it rejects,
+strength takes the pass's maximal tight sets as its next partition;
+separation, arboricity and the partition oracle take their answers from
+a short sequence of minimum-cut problems on small auxiliary digraphs.
 All arithmetic is exact: the seven operations return Fractions, and
 the cut reductions run on integers over a common denominator, so an int
 stays an int through `FlowNetwork` and the gadget.  Every public routine
 returns certificates that are re-checked internally before being handed
-out.  The checks in `matroid`, `packing` and `reinforcement` raise
-without `assert`, so `python -O` keeps them; the rest are still
+out.  The checks in `matroid`, `packing`, `reinforcement` and `cli`
+raise without `assert`, so `python -O` keeps them; the rest are still
 `assert` statements, which it drops (ROADMAP.md).
 """
 

@@ -168,7 +168,8 @@ def _render_reinforce(res: ReinforcementResult, operands: tuple) -> tuple[dict, 
         payload = {"status": "infeasible",
                    "certificate": _blocks(res.dual.final_partition)}
         return payload, f"infeasible\ncertificate {_blocks_text(res.dual.final_partition)}", 2
-    assert res.x is not None and res.cost is not None
+    if res.x is None or res.cost is None:
+        raise AssertionError("an optimal reinforce result without x or cost")
     payload = {
         "status": "optimal",
         "cost": format_rational(res.cost),

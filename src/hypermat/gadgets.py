@@ -1,9 +1,9 @@
 """Builders for the auxiliary cut networks behind every cut reduction, and their one solver.
 
 Polytope separation and arboricity, where the gathering pass rejects,
-each round of reinforcement and the partition oracle all minimize one
-set function by min cut: charge(W) - x(E[W]) over vertex sets W, or over
-those holding a forced vertex.  Its one builder is the selection
+and the partition oracle all minimize one set function by min cut:
+charge(W) - x(E[W]) over vertex sets W, or over those holding a forced
+vertex.  Its one builder is the selection
 network of Rhys (Management Science 17(3), 1970) and Picard and
 Queyranne (INFOR 20, 1982): each selected hyperedge e becomes one node,
 fed by every vertex of e through an infinite arc and escaping to the
@@ -32,7 +32,8 @@ source side is often the source alone.
 
 Rank, independence and the greedy forest need no network: `matroid`
 answers them by its gathering pass at one unit per vertex.  Strength
-needs none either: its rejected rounds read the pass's blocks.
+needs none either: its rejected rounds read the pass's blocks.  Nor does
+reinforcement: each round reads its merge from the pass's tight sets.
 """
 
 from __future__ import annotations
@@ -70,8 +71,8 @@ class GadgetGraph:
     solve reports, is the inclusion-maximal minimizer of that function:
     a minimizer W gives a minimum cut whose source side is the vertices
     off W and the nodes of the edges leaving W, so the smallest source
-    side has the largest W.  Separation, arboricity, reinforcement and
-    the partition oracle break their ties by that rule.
+    side has the largest W.  Separation, arboricity and the partition
+    oracle break their ties by that rule.
     """
 
     network: FlowNetwork

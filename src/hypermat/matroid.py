@@ -27,7 +27,8 @@ are rank's witness partition.  Where the pass rejects, strength takes
 them as its next anchor (see `packing`), and separation and arboricity
 find the most violated set through one routine: one unforced min cut on
 the selection gadget, and, only when that cut names no set, one forced
-cut per block.  No enumeration happens here.
+cut per block.  Reinforcement reads each merge with `join`, the routine
+`blocks` reads with, from one pass kept for its run.  No enumeration.
 """
 
 from __future__ import annotations
@@ -240,10 +241,9 @@ class _Gathering:
         """The maximal tight sets, as a partition of the vertices.
 
         Tight sets that meet have a tight union (cap >= 1), so the maximal
-        ones, the blocks, partition V.  A union-find walks the slots in
-        order: it skips a slot whose vertices share a root, and otherwise
-        joins the slot's `tight_set` into one group.  Searches move units,
-        not amounts, so what is tight stays tight.
+        ones, the blocks, partition V.  `join` reads them over every slot
+        in order, from singletons.  Searches move units, not amounts, so
+        what is tight stays tight.
 
         Proof.  A tight set read lies in one block B, as its union with B
         is tight, so every group is a tight set inside one block.  Each
@@ -258,19 +258,24 @@ class _Gathering:
         if sum(self.amount) == self.cap * (n - 1):
             return Partition.whole(n)
         root = list(range(n))
-        for verts in self.slots:
-            r = _find(root, verts[0])
-            if all([_find(root, v) == r for v in verts]):
-                continue
-            tight = self.tight_set(verts)
-            if tight is not None:
-                r0 = _find(root, min(tight))
-                for v in tight:
-                    root[_find(root, v)] = r0
+        self.join(root, self.slots)
         groups: dict[int, list[int]] = {}
         for v in range(n):
             groups.setdefault(_find(root, v), []).append(v)
         return Partition(n, tuple([tuple(b) for b in groups.values()]))
+
+    def join(self, root: list[int], slots: Iterable[tuple[int, ...]]) -> None:
+        """Join in `root` the `tight_set` of each edge on slots whose vertices span two roots.
+
+        Groups that are tight sets or lone vertices stay so, as tight sets
+        that meet have a tight union.
+        """
+        for verts in slots:
+            r = _find(root, verts[0])
+            if all([_find(root, v) == r for v in verts]):
+                continue
+            for v in self.tight_set(verts) or ():
+                root[_find(root, v)] = r
 
     def certify(self) -> None:
         """Check that each slot's units sum to its amount on its own vertices and no load passes cap."""

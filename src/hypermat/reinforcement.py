@@ -12,31 +12,44 @@ and reinforcement of a network" (J. ACM 32(3), 1985).  It grows a set of
 the subproblem bounds(crossing tight edges) - k * (|P| - 1).  Each round
 raises the dual variable of the current partition until some crossing
 non-tight edge's reduced cost hits zero and admits that edge.  The new
-subproblem optimum is then either the current partition or the current
-one with a single group of blocks merged, a group holding every block
-the admitted edge meets, so one min cut of the supermodular gadget on
-the quotient by the current partition finds it.  The blocks in the
-cut's witness fuse (`canonicalize_merge`), and the just-admitted edge
-takes the merge's deficit: what the tight edges between those blocks
-lack of k * (blocks - 1).  Without a merge the edge enters at its bound.
-The subproblem minimum reaching zero certifies primal feasibility;
-running out of crossing edges proves infeasibility with the current
-partition as the certificate.  Every dual update keeps feasibility and
-complementary slackness, which are checked by `if ...: raise`, so
-`python -O` keeps them, and the final cost equality is a proof of
-optimality; with integer k and bounds the multiplicities come out
-integral.
+optimum is the current partition or the current one with one group of
+blocks merged, a group holding every block the admitted edge meets.  The
+group's blocks fuse (`canonicalize_merge`), and the admitted edge takes
+the merge's deficit: what the tight edges between those blocks lack of
+k * (blocks - 1).  Without a merge it enters at its bound.  The
+one-block partition certifies primal feasibility; running out of
+crossing edges proves infeasibility with the current partition as the
+certificate.  Every dual update keeps feasibility and complementary
+slackness, checked by `if ...: raise`, so `python -O` keeps them, and
+the final cost equality proves optimality; with integer k and bounds the
+multiplicities come out integral.
 
-A round costs what it touches.  Partitions only coarsen, so every open
-candidate has taken every raise: its reduced cost is its cost less one
-running sum, and a heap on costs gives the next edge to admit.  The cut
-runs on the quotient over the blocks the tight crossing edges meet, and
-a merge reads the fused block's inside edges from the incidence of all
-but its largest block.
+No cut finds the group: the admitted edges join one gathering pass
+(`matroid._Gathering`) at capacity k with their bounds as demands, and
+the blocks are its maximal tight sets, the X with x(E[X]) = k (|X| - 1).
+Proof, for the admitted edge t, by induction on the rounds:
+1. A set tight after t joins that spans two blocks holds t, else it
+   was tight before.  Tight sets that meet have a tight union, so the
+   maximal tight set M holding t, if any, is a union of blocks.
+2. `_Gathering.join` from the blocks over t and the held crossing edges
+   leaves M one group, by the argument of `_Gathering.blocks`.  A held
+   crossing edge outside M has no tight set, as it would span two blocks,
+   so the groups are M and the other blocks: the next maximal tight sets.
+3. Every held edge but t took its bound u.  For a group S of the blocks,
+   t's among them, on V(S), the deficit k (|V(S)| - 1) - x(E[V(S)]) before
+   t joins is D(S) = k (|S| - 1) - u(held edges inside V(S) but t), and
+   merging S changes the subproblem value by D(S) - u_t.  Adding a tight
+   block that a set meets never raises the set's deficit, so the pass
+   gives t a = min(u_t, min D), and the V(S) tight afterwards are those
+   with D(S) = a: the merges that lower the value most, when one does
+   not raise it.  M is the largest, so ties go to the merge.
+4. So with a merge a = D(M), the deficit `canonicalize_merge` recounts
+   from x, and without one a = u_t; both are checked.
 
-Costs and bounds come in as Fractions, and every number handed out is
-one.  The loop itself runs on integers: reduced costs and duals over the
-costs' common denominator, multiplicities and bounds over the bounds'.
+A round costs what it touches: a heap on costs gives the next edge, and
+a merge walks the incidence of all but its largest block.  Costs and
+bounds come in as Fractions, and every number handed out is one; the
+loop runs on integers over their denominators.
 """
 
 from __future__ import annotations
@@ -44,18 +57,18 @@ from __future__ import annotations
 import heapq
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Container, Iterable, Sequence
+from typing import Container, Sequence
 
 from .core import EdgeVector, Hypergraph, Partition
-from .gadgets import GadgetEngine, build_supermodular_gadget
+from .matroid import _find, _Gathering
 
 
 @dataclass(frozen=True)
 class MergeDescriptor:
-    """One merge of a reinforcement round, read off the round's cut.
+    """One merge of a reinforcement round, read off the gathering pass.
 
     block_indices are the positions of the old partition's blocks in the
-    cut's witness, which fuse into the vertex set `merged`; value is the
+    pass's new maximal tight set, the vertex set `merged`; value is the
     multiplicity assigned to the triggering edge, chosen so the edges
     between those blocks sum to exactly k * (blocks - 1).
     """
@@ -91,59 +104,17 @@ class ReinforcementResult:
     merges: tuple[MergeDescriptor, ...] = ()
 
 
-def _subproblem(h: Hypergraph, held: Iterable[int], bounds: Sequence[int],
-                threshold: int, current: Partition, trigger: int) -> tuple[int, frozenset[int]]:
-    """Minimize bounds(crossing tight edges) - threshold * (|P| - 1) once `trigger` is tight.
-
-    `held` is the tight edges crossing the current partition, the
-    trigger among them.  The current partition attained the minimum
-    before the trigger became tight, and admitting it raises every
-    partition it crosses by the same bound.  So the new optimum is the
-    current partition or the current one with one group S of blocks
-    merged, S holding the blocks the trigger meets, which changes the
-    value by delta(S) = threshold * (|S| - 1) - bounds(tight edges inside S).
-    One cut minimizes delta.  On the quotient each block a held edge
-    meets is a vertex charged threshold, except that the trigger's
-    blocks contract into the forced vertex 0, charged threshold for all
-    but one of them; each held edge maps to its block image, a loop at 0
-    when it lies within the trigger's blocks.  Then charge(W) - bounds(E[W])
-    is delta of the blocks W stands for.  A block no held edge meets
-    would be an isolated vertex charged threshold > 0, which the
-    inclusion-maximal minimizer never holds, so the quotient leaves it out.
-    Bounds and threshold are integers over one denominator, and so is
-    the new minimum, returned with the group to merge: the indices of the
-    blocks in the cut's witness, the inclusion-maximal minimizer, when
-    the cut's value is zero or less, else the empty set.  At a new
-    optimum of zero the group is every block, so reinforcement ends on
-    the one-block partition.
-    """
-    label = current._label
-    trigger_blocks = {label[v] for v in h.edges[trigger].vertices}
-    met = {label[v] for e in held for v in h.edges[e].vertices} - trigger_blocks
-    qid = dict.fromkeys(trigger_blocks, 0)
-    qid.update((i, q) for q, i in enumerate(sorted(met), 1))
-    images = [sorted({qid[label[v]] for v in h.edges[e].vertices}) for e in held]
-    weights = [bounds[e] for e in held]
-    charges = [threshold * (len(trigger_blocks) - 1)] + [threshold] * len(met)
-    g = build_supermodular_gadget(Hypergraph(len(charges), images), weights, charges, forced=0)
-    cut = GadgetEngine(g).solve()
-    value = sum(weights) - threshold * (len(current.blocks) - 1)
-    if cut.value > 0:
-        return value, frozenset()
-    return value + cut.value, frozenset(i for i, q in qid.items() if q in cut.witness)
-
-
 def canonicalize_merge(h: Hypergraph, incident: Sequence[Sequence[int]], inner: dict[int, set[int]],
                        current: Partition, group: frozenset[int], trigger: int,
                        held: Container[int], x: Sequence[int],
                        threshold: int) -> tuple[Partition, frozenset[int], set[int], list[int], int]:
     """The merge step of a reinforcement round: fuse the blocks in `group`.
 
-    `group` holds the indices of the blocks of `current` in the round's
-    cut witness, as `_subproblem` returns them; `held` is the tight edges
-    crossing `current`, the trigger among them.  `incident` lists each
-    vertex's edges, and `inner` maps the least vertex of each block of
-    `current` to the set of edges inside that block.  The fused set
+    `group` holds the indices of the blocks of `current` that the
+    round's new tight set fuses; `held` is the tight edges crossing
+    `current`, the trigger among them.  `incident` lists each vertex's
+    edges, and `inner` maps the least vertex of each block of `current`
+    to the set of edges inside that block.  The fused set
     takes over the set of the group's largest block, which gains the
     edges of the other blocks' vertices that lie inside the fused set,
     so a merge walks the incidence of the smaller blocks only; `inner`
@@ -173,12 +144,6 @@ def canonicalize_merge(h: Hypergraph, incident: Sequence[Sequence[int]], inner: 
     lam = threshold * (len(group) - 1) - sum([x[e] for e in added if e in held and e != trigger])
     new = Partition(h.n, (tuple(sorted(merged)), *[b for i, b in enumerate(blocks) if i not in group]))
     return new, merged, inside, added, lam
-
-
-def _partition_value(h: Hypergraph, tight: Iterable[int], bounds: Sequence[int],
-                     threshold: int, p: Partition) -> int:
-    crossing = h.cross_edges(list(tight), p)
-    return sum([bounds[e] for e in crossing]) - threshold * (len(p.blocks) - 1)
 
 
 def reinforce(h: Hypergraph, tree_count: int, costs: EdgeVector,
@@ -213,7 +178,7 @@ def reinforce(h: Hypergraph, tree_count: int, costs: EdgeVector,
 
     # the loop runs on integers: reduced costs and duals over the costs'
     # common denominator cscale, multiplicities over the bounds' bscale,
-    # with kb = k * bscale
+    # with kb = k * bscale the pass's capacity
     cnums, cscale = costs._integers()
     reduced = list(cnums)
     bdual = [0] * h.m
@@ -246,6 +211,10 @@ def reinforce(h: Hypergraph, tree_count: int, costs: EdgeVector,
     held: dict[int, int] = {}
     # the edges with 0 < x_e < u_e: only a merge's trigger can be one
     partial: list[int] = []
+    # the admitted edges' amounts at capacity kb, and a union-find whose
+    # groups are the current blocks: the pass's maximal tight sets
+    gathering = _Gathering(h.n, kb)
+    root = list(range(h.n))
 
     def release(e: int) -> None:
         if e in candidates:
@@ -257,6 +226,7 @@ def reinforce(h: Hypergraph, tree_count: int, costs: EdgeVector,
                 raise AssertionError("crossing tight edge below its bound")
 
     def dual_state(p: Partition) -> DualState:
+        gathering.certify()
         for e in [*candidates, *held]:
             release(e)
         if min(reduced, default=0) < 0 or min(bdual, default=0) < 0:
@@ -275,7 +245,8 @@ def reinforce(h: Hypergraph, tree_count: int, costs: EdgeVector,
         if not candidates:
             # even at full bounds the crossing edges cannot meet the
             # requirement: the current partition certifies infeasibility
-            if _partition_value(h, tight, ubi, kb, current) >= 0:
+            crossing = h.cross_edges(tight, current)
+            if sum([ubi[e] for e in crossing]) >= kb * (len(current.blocks) - 1):
                 raise AssertionError("infeasibility certificate meets the requirement")
             return ReinforcementResult(status="infeasible", x=None, cost=None,
                                        dual=dual_state(current), merges=tuple(merges))
@@ -292,33 +263,35 @@ def reinforce(h: Hypergraph, tree_count: int, costs: EdgeVector,
         release(trigger)
         held[trigger] = raised
 
-        value, group = _subproblem(h, held, ubi, kb, current, trigger)
-        if value > 0:
-            raise AssertionError("the subproblem minimum went positive")
-        if group:
-            merged_partition, merged, inside, added, lam = canonicalize_merge(
-                h, incident, inner, current, group, trigger, held, xi, kb)
-            if trigger not in inside:
-                raise AssertionError("triggering edge does not lie inside the merged block")
-            if not 0 <= lam <= ubi[trigger]:
-                raise AssertionError("merge deficit outside the edge bound")
-            xi[trigger] = lam
-            if 0 < lam < ubi[trigger]:
-                partial.append(trigger)
-            merges.append(MergeDescriptor(block_indices=group, merged=merged,
-                                          value=Fraction(lam, bscale)))
-            if sum([xi[e] for e in inside]) != kb * (len(merged) - 1):
-                raise AssertionError("merged block misses its exact requirement")
-            for e in added:
-                release(e)
-            current = merged_partition
-        else:
-            xi[trigger] = ubi[trigger]
-        if value == 0 and len(current.blocks) != 1:
-            raise AssertionError("zero-value optimum is not the one-block partition")
-        if _partition_value(h, tight, ubi, kb, current) != value:
-            raise AssertionError("new partition misses the subproblem value")
-        if value == 0:
+        verts = h.edges[trigger].vertices
+        xi[trigger] = amount = gathering.add(verts, ubi[trigger])
+        if gathering.tight_set(verts) is None:
+            if amount != ubi[trigger]:
+                raise AssertionError("an edge that merges nothing took less than its bound")
+            continue
+        # the merge is the new maximal tight set holding the trigger
+        edges = [h.edges[e].vertices for e in held]
+        gathering.join(root, [verts, *edges])
+        r = _find(root, verts[0])
+        group = frozenset([current._label[v] for vs in edges for v in vs if _find(root, v) == r])
+        merged_partition, merged, inside, added, lam = canonicalize_merge(
+            h, incident, inner, current, group, trigger, held, xi, kb)
+        if trigger not in inside:
+            raise AssertionError("triggering edge does not lie inside the merged block")
+        if not 0 <= lam <= ubi[trigger]:
+            raise AssertionError("merge deficit outside the edge bound")
+        if amount != lam:
+            raise AssertionError("the pass's amount is not the merge deficit")
+        if 0 < lam < ubi[trigger]:
+            partial.append(trigger)
+        merges.append(MergeDescriptor(block_indices=group, merged=merged,
+                                      value=Fraction(lam, bscale)))
+        if sum([xi[e] for e in inside]) != kb * (len(merged) - 1):
+            raise AssertionError("merged block misses its exact requirement")
+        for e in added:
+            release(e)
+        current = merged_partition
+        if len(current.blocks) == 1:
             break
         # loop invariant: partially used edges buried inside blocks, so
         # later raises never touch them

@@ -9,7 +9,7 @@ from fractions import Fraction
 from hypothesis import settings
 from hypothesis import strategies as st
 
-from hypermat import EdgeVector, Hypergraph
+from hypermat import CutEngine, EdgeVector, Hypergraph
 from hypermat.brute import enum_partitions
 
 
@@ -56,13 +56,13 @@ def random_hypergraph(rng: random.Random, n: int, m: int, max_size: int,
     return Hypergraph(n, edges)
 
 
-def crit9(seed: int, n: int) -> tuple[Hypergraph, EdgeVector, EdgeVector]:
-    """A hypergraph shaped like acceptance criterion 9 at m = 5n, with its weights and point.
+def crit9(seed: int, n: int) -> tuple[Hypergraph, EdgeVector, EdgeVector, EdgeVector]:
+    """A hypergraph shaped like acceptance criterion 9 at m = 5n, with its weights, point and costs.
 
     The draws of the benchmark's generator, `crit9_instance(seed, n, 5 * n)`
     in perfbench/instances.py: one each for n and m, `random_hypergraph`'s
-    connected draws at edge sizes 2..6, weights 0..10 and a point of
-    quarters in [0, 1].
+    connected draws at edge sizes 2..6, weights 0..10, a point of
+    quarters in [0, 1] and costs 1..6.
     """
     rng = random.Random(seed)
     rng.randint(n, n)
@@ -70,7 +70,8 @@ def crit9(seed: int, n: int) -> tuple[Hypergraph, EdgeVector, EdgeVector]:
     h = random_hypergraph(rng, n, 5 * n, 6, connected=True)
     weights = EdgeVector.of([rng.randint(0, 10) for _ in range(h.m)])
     point = EdgeVector.of([Fraction(rng.randint(0, 4), 4) for _ in range(h.m)])
-    return h, weights, point
+    costs = EdgeVector.of([rng.randint(1, 6) for _ in range(h.m)])
+    return h, weights, point, costs
 
 
 def random_weights(rng: random.Random, m: int, lo: int = 0, hi: int = 6,
@@ -163,3 +164,16 @@ def verify_optimal(h, k, costs, bounds, res):
     for p, g in gamma:
         if g > 0:
             assert x.sum_over(h.cross_edges(None, p)) == k * (len(p.blocks) - 1)
+
+
+def count_solves(monkeypatch) -> list[int]:
+    """Count CutEngine.solve calls from here on; returns the one-item counter."""
+    solve = CutEngine.solve
+    count = [0]
+
+    def counted(self):
+        count[0] += 1
+        return solve(self)
+
+    monkeypatch.setattr(CutEngine, "solve", counted)
+    return count

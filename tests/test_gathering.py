@@ -17,6 +17,7 @@ the answers with enumeration, and tests/test_matroid.py breaks the
 trimming that certifies a hyperforest.
 """
 
+import dataclasses
 import itertools
 import os
 import random
@@ -33,13 +34,13 @@ from hypermat import (
     CutEngine,
     EdgeVector,
     Hypergraph,
+    INF,
     InPolytope,
     Partition,
     SetViolation,
     arboricity,
     interpret_gadget_cut,
     min_partition,
-    min_st_cut,
     separate_polytope,
     strength,
 )
@@ -47,7 +48,7 @@ from hypermat.brute import brute_min_partition
 from hypermat.gadgets import GadgetCutInterpretation, build_supermodular_gadget
 from hypermat.matroid import _Gathering, _most_violated, _pass
 
-from helpers import crit9, examples, hypergraphs, random_hypergraph
+from helpers import count_solves, crit9, examples, hypergraphs, random_hypergraph
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -56,25 +57,19 @@ def _no_cut(*args, **kwargs):
     raise AssertionError("a min cut ran")
 
 
-def _count_solves(monkeypatch):
-    """Count CutEngine.solve calls from here on; returns the one-item counter."""
-    solve = CutEngine.solve
-    count = [0]
-
-    def counted(self):
-        count[0] += 1
-        return solve(self)
-
-    monkeypatch.setattr(CutEngine, "solve", counted)
-    return count
-
-
 def _swept(h, cap, demands):
-    """The first minimizer of cap |W| - demand(E[W]) over nonempty W, by a fresh forced cut at each vertex."""
+    """The first minimizer of cap |W| - demand(E[W]) over nonempty W, by a fresh forced cut at each vertex.
+
+    One unforced gadget is built; each vertex gets a cold engine on it
+    whose sink arc at that vertex turns infinite, the builder's forced
+    gadget, and the cut is read back as forced there.
+    """
+    g = build_supermodular_gadget(h, demands, [cap] * h.n)
     cuts = []
     for v in range(h.n):
-        g = build_supermodular_gadget(h, demands, [cap] * h.n, forced=v)
-        cuts.append(interpret_gadget_cut(g, min_st_cut(g.network)))
+        engine = CutEngine(g.network)
+        engine.set_capacity(h.n + v, INF)
+        cuts.append(interpret_gadget_cut(dataclasses.replace(g, forced=v), engine.solve()))
     return min(cuts, key=lambda info: info.value).witness
 
 
@@ -219,7 +214,7 @@ class TestMostViolated:
         assert x.total() > h.n - 1
         nums, scale = x._integers()
         expected = _swept(h, scale, nums)
-        count = _count_solves(monkeypatch)
+        count = count_solves(monkeypatch)
         outcome = separate_polytope(h, x)
         assert count[0] == 1
         assert isinstance(outcome, SetViolation) and outcome.witness == expected
@@ -231,7 +226,7 @@ class TestMostViolated:
         nums, scale = x._integers()
         blocks = _pass(h, scale, nums, sum(nums))[1].blocks().blocks
         assert len(blocks) < h.n
-        count = _count_solves(monkeypatch)
+        count = count_solves(monkeypatch)
         assert separate_polytope(h, x).witness == frozenset({0, 3, 6})
         assert count[0] == 1 + len(blocks)
 
@@ -271,7 +266,7 @@ class TestAgainstTheCutPath:
         # strength at unit capacities and at the weights, separation at the
         # inside point x_e = (n - 1)/m and at the quarters point, and
         # arboricity's first round: only the quarters point is rejected
-        h, weights, point = crit9(seed, 60)
+        h, weights, point, _ = crit9(seed, 60)
         rejected = [_check_strength_anchors(h, caps) for caps in (None, weights)]
         for x in (EdgeVector.constant(h.m, Fraction(59, h.m)), point):
             nums, scale = x._integers()
@@ -283,7 +278,7 @@ class TestAgainstTheCutPath:
     def test_crit9_n200_seed20(self):
         # the pass rejects strength's first round at both capacities, the
         # inside point and arboricity's first round, and the last two sweep
-        h, weights, _ = crit9(20, 200)
+        h, weights, _, _ = crit9(20, 200)
         assert [_check_strength_anchors(h, caps) for caps in (None, weights)] == [1, 1]
         x = EdgeVector.constant(h.m, Fraction(199, h.m))
         nums, scale = x._integers()
@@ -299,9 +294,9 @@ class TestCliff:
         # then one forced cut per block; strength reads the blocks with no
         # cut.  A forced cut per vertex took 801 solves, and the partition
         # oracle 800.  The answers are those of that cut path.
-        h, _, _ = crit9(11, 800)
+        h, _, _, _ = crit9(11, 800)
         rest = frozenset(range(h.n)) - {67}
-        count = _count_solves(monkeypatch)
+        count = count_solves(monkeypatch)
         out = separate_polytope(h, EdgeVector.constant(h.m, Fraction(h.n - 1, h.m)))
         assert isinstance(out, SetViolation) and out.witness == rest
         assert (out.lhs, out.rhs, h.m - len(out.edge_set)) == (Fraction(638401, 800), 798, 5)

@@ -136,3 +136,20 @@ def test_packing_holds_no_assert():
     # nor do strength's and arboricity's Newton checks
     asserts = _asserts("packing.py")
     assert asserts == [], f"packing.py asserts on lines {asserts}"
+
+
+def test_cli_holds_no_assert():
+    # nor does the CLI's check of a reinforce result before it renders it
+    asserts = _asserts("cli.py")
+    assert asserts == [], f"cli.py asserts on lines {asserts}"
+
+
+def test_reinforcement_makes_no_cut():
+    # reinforcement reads each round's merge from the gathering pass, so
+    # it needs neither the gadget nor the flow engine
+    tree = ast.parse((PACKAGE / "reinforcement.py").read_text(encoding="utf-8"))
+    modules = [node.module for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)]
+    modules += [alias.name for node in ast.walk(tree) if isinstance(node, ast.Import)
+                for alias in node.names]
+    stray = [name for name in modules if name and name.split(".")[-1] in ("gadgets", "mincut")]
+    assert stray == []

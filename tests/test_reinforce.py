@@ -20,9 +20,8 @@ from hypermat import (
 )
 from hypermat.brute import brute_reinforce
 from hypermat.gadgets import GadgetEngine, build_supermodular_gadget
-from hypermat.mincut import CutEngine
 
-from helpers import examples, mst_cost, random_hypergraph, verify_optimal
+from helpers import count_solves, crit9, examples, mst_cost, random_hypergraph, verify_optimal
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -179,7 +178,7 @@ def check_merge_trace(h, k, res):
 
 
 def _full_quotient_cut(h, held, bounds, threshold, current, trigger):
-    """The round's cut on the quotient with every block of `current` a vertex."""
+    """A round's subproblem by one cut on the quotient with every block of `current` a vertex."""
     nblocks = len(current.blocks)
     trigger_blocks = {current.block_index(v) for v in h.edges[trigger].vertices}
     others = [i for i in range(nblocks) if i not in trigger_blocks]
@@ -197,64 +196,83 @@ def _full_quotient_cut(h, held, bounds, threshold, current, trigger):
     return value + cut.value, frozenset(i for i in range(nblocks) if qid[i] in cut.witness)
 
 
+def _replay(h, k, bounds, res, reads):
+    """Replay a run's rounds from its admission order against the reference cut.
+
+    Each round's group from `_full_quotient_cut`, and its value from
+    `min_partition` on the quotient, attained by the merged partition;
+    `reads` yields each merge the run made as (trigger, partition, group),
+    and must match the rounds where the reference merges, in order.
+    Returns the number of rounds with a merge and without one.
+    """
+    if bounds is None:
+        ubi, kb = [k * (h.n - 1)] * h.m, k
+    else:
+        ubi, bscale = bounds._integers()
+        kb = k * bscale
+    current = Partition.singletons(h.n)
+    held = []
+    counts = [0, 0]
+    for trigger in res.dual.tight_edges:
+        held.append(trigger)
+        value, group = _full_quotient_cut(h, held, ubi, kb, current, trigger)
+        images = [sorted({current.block_index(v) for v in h.edges[e].vertices}) for e in held]
+        assert all(len(img) >= 2 for img in images), "a held edge does not cross"
+        quotient = Hypergraph(len(current.blocks), images)
+        assert value == min_partition(quotient, EdgeVector([ubi[e] for e in held]), kb).value
+        blocks = current.blocks
+        optimum = Partition(h.n, (
+            *[b for i, b in enumerate(blocks) if i not in group],
+            *([tuple(v for i in group for v in blocks[i])] if group else [])))
+        attained = sum(ubi[e] for e in h.cross_edges(held, optimum)) \
+            - kb * (len(optimum.blocks) - 1)
+        assert attained == value, "the merged group misses the value"
+        counts[bool(group)] += 1
+        if group:
+            assert len(group) >= 2
+            assert {current.block_index(v) for v in h.edges[trigger].vertices} <= group
+            assert next(reads) == (trigger, current, group)
+            current = optimum
+            held = [e for e in held
+                    if len({current.block_index(v) for v in h.edges[e].vertices}) > 1]
+    assert next(reads, None) is None, "the run merged where the cut does not"
+    assert current == res.dual.final_partition
+    return counts
+
+
 class TestOneCutSubproblem:
     def test_matches_the_partition_oracle(self, monkeypatch):
-        # each round's single cut against the full oracle on the same
-        # quotient, and against one cut of the quotient over every block,
-        # where the round's quotient leaves out the blocks no held edge meets
-        one_cut = reinforcement._subproblem
-        rounds = smaller = 0
+        # every round, with a merge or without one, against one cut of the
+        # quotient over every block and the full oracle on that quotient:
+        # the merges the gathering pass reads are the cut's groups
+        merge = reinforcement.canonicalize_merge
+        reads = []
 
-        def checked(h, held, bounds, threshold, current, trigger):
-            nonlocal rounds, smaller
-            rounds += 1
-            held = sorted(held)
-            value, group = one_cut(h, held, bounds, threshold, current, trigger)
-            assert (value, group) == _full_quotient_cut(h, held, bounds, threshold, current, trigger)
-            met = {current.block_index(v) for e in held for v in h.edges[e].vertices}
-            smaller += len(met) < len(current.blocks)
-            images = [sorted({current.block_index(v) for v in h.edges[e].vertices})
-                      for e in held]
-            assert all(len(img) >= 2 for img in images), "a held edge does not cross"
-            quotient = Hypergraph(len(current.blocks), images)
-            weights = EdgeVector([bounds[e] for e in held])
-            assert value == min_partition(quotient, weights, threshold).value
-            # the partition the group stands for attains the value
-            blocks = current.blocks
-            optimum = Partition(h.n, (
-                *[b for i, b in enumerate(blocks) if i not in group],
-                *([tuple(v for i in group for v in blocks[i])] if group else [])))
-            if group:
-                assert len(group) >= 2
-                assert {current.block_index(v) for v in h.edges[trigger].vertices} <= group
-            attained = sum((bounds[e] for e in h.cross_edges(held, optimum)), Fraction(0)) \
-                - threshold * (len(optimum.blocks) - 1)
-            assert attained == value, "the merged group misses the value"
-            return value, group
+        def spy(h, incident, inner, current, group, trigger, held, x, threshold):
+            reads.append((trigger, current, group))
+            return merge(h, incident, inner, current, group, trigger, held, x, threshold)
 
-        monkeypatch.setattr(reinforcement, "_subproblem", checked)
+        monkeypatch.setattr(reinforcement, "canonicalize_merge", spy)
         statuses = set()
+        merged = unmerged = 0
         for h, k, costs, bounds in _instances(0x1C07, 150):
-            statuses.add(reinforce(h, k, costs, bounds).status)
-        assert statuses == {"optimal", "infeasible"} and rounds > 300 and smaller > 100
+            reads.clear()
+            res = reinforce(h, k, costs, bounds)
+            statuses.add(res.status)
+            without, with_merge = _replay(h, k, bounds, res, iter(reads))
+            merged += with_merge
+            unmerged += without
+        assert statuses == {"optimal", "infeasible"} and merged > 200 and unmerged > 300
 
-    def test_one_cut_per_round(self, monkeypatch):
+    def test_no_cut_per_round(self, monkeypatch):
         monkeypatch.setattr("hypermat.partition_oracle.min_partition", _no_oracle)
         monkeypatch.setattr("hypermat.reinforcement.min_partition", _no_oracle, raising=False)
-        solve = CutEngine.solve
-        solves = 0
-
-        def counted(engine):
-            nonlocal solves
-            solves += 1
-            return solve(engine)
-
-        monkeypatch.setattr(CutEngine, "solve", counted)
+        count = count_solves(monkeypatch)
+        rounds = 0
         for h, k, costs, bounds in _instances(0x1C07, 150):
-            before = solves
-            res = reinforce(h, k, costs, bounds)
-            # every round admits one edge and solves one cut
-            assert solves - before == len(res.dual.tight_edges)
+            rounds += len(reinforce(h, k, costs, bounds).dual.tight_edges)
+        # the gathering pass reads every round's merge
+        assert rounds > 300 and count[0] == 0
 
     def test_merge_trace(self):
         optimal = 0
@@ -427,21 +445,36 @@ class TestOutputTypes:
 
 class TestChecks:
     def test_checks_survive_optimize(self):
-        # a round whose cut reports a value one below the true one: the
-        # recount of the new partition's value must catch it under -O too
+        # a pass that reports one unit less than it accepted: on a merge
+        # the deficit recounted from x, and without one the edge's bound,
+        # must catch it under -O too
         code = (
             "from hypermat import EdgeVector, Hypergraph, reinforce, reinforcement\n"
-            "one_cut = reinforcement._subproblem\n"
-            "def forged(*args):\n"
-            "    value, group = one_cut(*args)\n"
-            "    return value - 1, group\n"
-            "reinforcement._subproblem = forged\n"
+            "class Short(reinforcement._Gathering):\n"
+            "    def add(self, verts, demand):\n"
+            "        return super().add(verts, demand) - 1\n"
+            "reinforcement._Gathering = Short\n"
             "h = Hypergraph(3, [[0, 1], [1, 2], [0, 2]])\n"
-            "try:\n"
-            "    reinforce(h, 1, EdgeVector.of([1, 2, 3]), EdgeVector.ones(3))\n"
-            "except AssertionError as exc:\n"
-            "    print('raised:', exc)\n"
+            "for k in (1, 2):\n"
+            "    try:\n"
+            "        reinforce(h, k, EdgeVector.of([1, 2, 3]), EdgeVector.ones(3))\n"
+            "    except AssertionError as exc:\n"
+            "        print('raised:', exc)\n"
         )
         out = subprocess.run([sys.executable, "-O", "-c", code], capture_output=True, text=True,
                              env={**os.environ, "PYTHONPATH": str(SRC)}, check=True)
-        assert out.stdout == "raised: new partition misses the subproblem value\n"
+        assert out.stdout == ("raised: the pass's amount is not the merge deficit\n"
+                              "raised: an edge that merges nothing took less than its bound\n")
+
+
+class TestLargeRun:
+    def test_crit9_n800_seed11(self, monkeypatch):
+        # the benchmark generator's n=800 seed 11 at k = 1, unbounded: every
+        # round merges, read from the pass with no cut, where one cut per
+        # round made 491 solves; the answers are those of that cut path
+        h, _, _, costs = crit9(11, 800)
+        count = count_solves(monkeypatch)
+        res = reinforce(h, 1, costs)
+        assert (res.status, res.cost) == ("optimal", 849)
+        assert (len(res.merges), len(res.dual.tight_edges)) == (491, 491)
+        assert count[0] == 0
