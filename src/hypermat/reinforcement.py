@@ -47,17 +47,25 @@ Proof, for the admitted edge t, by induction on the rounds:
    from x, and without one a = u_t; both are checked.
 
 A round costs what it touches: a heap on costs gives the next edge, and
-a merge walks the incidence of all but its largest block.  Costs and
-bounds come in as Fractions, and every number handed out is one; the
-loop runs on integers over their denominators.
+a merge relabels and walks the incidence of all but its largest block.
+The blocks are plain lists (`_Blocks`): a block's position in the
+canonical order is a bisection of the sorted least vertices, and a
+`Partition` is built only where one is handed out, for a raised round,
+the infeasibility certificate and the final partition.  The round checks
+stay per merge: the fused block's running sum of x against
+k * (|block| - 1), and a partially used edge's block ids once, when it
+becomes partial, as blocks only coarsen.  Costs and bounds come in as
+Fractions, and every number handed out is one, one per distinct value;
+the loop runs on integers over their denominators.
 """
 
 from __future__ import annotations
 
 import heapq
+from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Container, Sequence
+from typing import Collection, Container, Sequence
 
 from .core import EdgeVector, Hypergraph, Partition
 from .matroid import _find, _Gathering
@@ -86,6 +94,7 @@ class DualState:
     raised; bound_duals and reduced_costs are per-edge; tight_edges in
     admission order; final_partition is the last subproblem optimum, and
     on infeasibility it is the certificate violating feasibility.
+    Entries equal in value may be the same immutable Fraction object.
     """
 
     partition_duals: list[tuple[Partition, Fraction]]
@@ -104,46 +113,90 @@ class ReinforcementResult:
     merges: tuple[MergeDescriptor, ...] = ()
 
 
-def canonicalize_merge(h: Hypergraph, incident: Sequence[Sequence[int]], inner: dict[int, set[int]],
-                       current: Partition, group: frozenset[int], trigger: int,
-                       held: Container[int], x: Sequence[int],
-                       threshold: int) -> tuple[Partition, frozenset[int], set[int], list[int], int]:
+class _Blocks:
+    """The current blocks of a reinforcement run, kept as plain lists.
+
+    A block's id is a vertex, and a fused block keeps the id of the
+    largest block it absorbed.  `label` maps each vertex to its block's
+    id; `members`, `least`, `inner` and `xsum` give each live block's
+    vertices, least vertex, the edges inside it and the sum of x over
+    those edges.  `leasts` is the sorted list of the live blocks' least
+    vertices, so a block's position in the order `Partition` sorts
+    blocks by is one bisection.
+    """
+
+    __slots__ = ("label", "members", "least", "leasts", "inner", "xsum")
+
+    def __init__(self, inner: list[set[int]]) -> None:
+        n = len(inner)
+        self.label = list(range(n))
+        self.members: list[list[int]] = [[v] for v in range(n)]
+        self.least = list(range(n))
+        self.leasts = list(range(n))
+        self.inner = inner
+        self.xsum = [0] * n
+
+    def partition(self) -> Partition:
+        members, label = self.members, self.label
+        return Partition(len(label), tuple([tuple(members[label[v]]) for v in self.leasts]))
+
+
+def canonicalize_merge(h: Hypergraph, incident: Sequence[Sequence[int]], blocks: _Blocks,
+                       group: Collection[int], trigger: int, held: Container[int],
+                       x: Sequence[int],
+                       threshold: int) -> tuple[frozenset[int], set[int], list[int], int]:
     """The merge step of a reinforcement round: fuse the blocks in `group`.
 
-    `group` holds the indices of the blocks of `current` that the
-    round's new tight set fuses; `held` is the tight edges crossing
-    `current`, the trigger among them.  `incident` lists each vertex's
-    edges, and `inner` maps the least vertex of each block of `current`
-    to the set of edges inside that block.  The fused set
-    takes over the set of the group's largest block, which gains the
-    edges of the other blocks' vertices that lie inside the fused set,
-    so a merge walks the incidence of the smaller blocks only; `inner`
-    is left keyed by the blocks of the new partition.  Returns the new
-    partition, the fused vertex set, the edges inside it, the ones among
-    those that the largest block did not hold, and the deficit the
-    trigger takes: what the other held edges inside lack of
+    `group` holds the ids of the blocks that the round's new tight set
+    fuses; `held` is the tight edges crossing the current blocks, the
+    trigger among them, and `incident` lists each vertex's edges.  The
+    group's largest block absorbs the others: their vertices take its id
+    and join its members, its inside-edge set gains the edges of their
+    vertices that lie inside the fused set, and its sum of x gains x over
+    those.  Their least vertices leave `leasts`, the fused block keeping
+    the least of all.  So a merge walks the members and incidence of the
+    smaller blocks only.  Returns the fused vertex set, the edges inside
+    it, the ones among those that the largest block did not hold, and the
+    deficit the trigger takes: what the other held edges inside lack of
     threshold * (|group| - 1).  Multiplicities x and the threshold are
     integers over one denominator.
     """
-    blocks = current.blocks
+    label, members, least, leasts, inner = (blocks.label, blocks.members, blocks.least,
+                                            blocks.leasts, blocks.inner)
     edges = h.edges
-    merged = frozenset(v for i in group for v in blocks[i])
-    largest = max(group, key=lambda i: len(blocks[i]))
-    inside = inner.pop(blocks[largest][0])
+    largest = max(group, key=lambda b: len(members[b]))
+    others = [b for b in group if b != largest]
+    fused = members[largest]
+    for b in others:
+        for v in members[b]:
+            label[v] = largest
+        fused.extend(members[b])
+    merged = frozenset(fused)
+    inside = inner[largest]
     added: list[int] = []
-    for i in group:
-        if i != largest:
-            del inner[blocks[i][0]]
-            for v in blocks[i]:
-                for e in incident[v]:
-                    if e not in inside and merged.issuperset(edges[e].vertices):
-                        inside.add(e)
-                        added.append(e)
-    inner[min([blocks[i][0] for i in group])] = inside
-    # held edges cross `current`, so every one inside the fused set was added
+    for b in others:
+        for v in members[b]:
+            for e in incident[v]:
+                if e not in inside and merged.issuperset(edges[e].vertices):
+                    inside.add(e)
+                    added.append(e)
+        members[b] = []
+        inner[b] = set()
+    lo = min([least[b] for b in group])
+    for b in group:
+        if least[b] != lo:
+            del leasts[bisect_left(leasts, least[b])]
+    least[largest] = lo
+    blocks.xsum[largest] += sum([x[e] for e in added])
+    # held edges cross the current blocks, so every one inside the fused set was added
     lam = threshold * (len(group) - 1) - sum([x[e] for e in added if e in held and e != trigger])
-    new = Partition(h.n, (tuple(sorted(merged)), *[b for i, b in enumerate(blocks) if i not in group]))
-    return new, merged, inside, added, lam
+    return merged, inside, added, lam
+
+
+def _fractions(values: Sequence[int], scale: int) -> list[Fraction]:
+    """The values over scale, one Fraction per distinct value."""
+    table = {v: Fraction(v, scale) for v in set(values)}
+    return [table[v] for v in values]
 
 
 def reinforce(h: Hypergraph, tree_count: int, costs: EdgeVector,
@@ -186,13 +239,12 @@ def reinforce(h: Hypergraph, tree_count: int, costs: EdgeVector,
     xi = [0] * h.m
     kb = tree_count * bscale
     tight: list[int] = []
-    current = Partition.singletons(h.n)
     merges: list[MergeDescriptor] = []
-    # each vertex's edges, and the edges inside each block keyed by its
-    # least vertex; the crossing edges of the current partition, split
-    # into the open candidates and the tight ones
+    # each vertex's edges, and the edges inside each singleton block; the
+    # crossing edges of the current blocks, split into the open candidates
+    # and the tight ones
     incident: list[list[int]] = [[] for _ in range(h.n)]
-    inner: dict[int, set[int]] = {v: set() for v in range(h.n)}
+    inner: list[set[int]] = [set() for _ in range(h.n)]
     candidates: set[int] = set()
     for e, edge in enumerate(h.edges):
         for v in edge.vertices:
@@ -201,6 +253,9 @@ def reinforce(h: Hypergraph, tree_count: int, costs: EdgeVector,
             inner[edge.vertices[0]].add(e)
         else:
             candidates.add(e)
+    # the current blocks, and the Partition of them once one is read
+    blocks = _Blocks(inner)
+    current: Partition | None = None
     # partitions only coarsen, so a candidate has taken every step: its
     # reduced cost is cnums[e] - raised, and a held edge's bound dual is
     # raised less its value when the edge was admitted, kept in `held`;
@@ -209,8 +264,6 @@ def reinforce(h: Hypergraph, tree_count: int, costs: EdgeVector,
     queue = [(cnums[e], e) for e in candidates]
     heapq.heapify(queue)
     held: dict[int, int] = {}
-    # the edges with 0 < x_e < u_e: only a merge's trigger can be one
-    partial: list[int] = []
     # the admitted edges' amounts at capacity kb, and a union-find whose
     # groups are the current blocks: the pass's maximal tight sets
     gathering = _Gathering(h.n, kb)
@@ -233,8 +286,8 @@ def reinforce(h: Hypergraph, tree_count: int, costs: EdgeVector,
             raise AssertionError("a dual variable went negative")
         return DualState(
             partition_duals=[(q, Fraction(g, cscale)) for q, g in gammas.items()],
-            bound_duals=[Fraction(b, cscale) for b in bdual],
-            reduced_costs=[Fraction(r, cscale) for r in reduced],
+            bound_duals=_fractions(bdual, cscale),
+            reduced_costs=_fractions(reduced, cscale),
             tight_edges=list(tight), final_partition=p)
 
     rounds = 0
@@ -245,6 +298,8 @@ def reinforce(h: Hypergraph, tree_count: int, costs: EdgeVector,
         if not candidates:
             # even at full bounds the crossing edges cannot meet the
             # requirement: the current partition certifies infeasibility
+            if current is None:
+                current = blocks.partition()
             crossing = h.cross_edges(tight, current)
             if sum([ubi[e] for e in crossing]) >= kb * (len(current.blocks) - 1):
                 raise AssertionError("infeasibility certificate meets the requirement")
@@ -257,6 +312,8 @@ def reinforce(h: Hypergraph, tree_count: int, costs: EdgeVector,
         if step < 0:
             raise AssertionError("reduced cost went negative")
         if step > 0:
+            if current is None:
+                current = blocks.partition()
             gammas[current] = gammas.get(current, 0) + step
             raised = top
         tight.append(trigger)
@@ -273,34 +330,33 @@ def reinforce(h: Hypergraph, tree_count: int, costs: EdgeVector,
         edges = [h.edges[e].vertices for e in held]
         gathering.join(root, [verts, *edges])
         r = _find(root, verts[0])
-        group = frozenset([current._label[v] for vs in edges for v in vs if _find(root, v) == r])
-        merged_partition, merged, inside, added, lam = canonicalize_merge(
-            h, incident, inner, current, group, trigger, held, xi, kb)
+        label = blocks.label
+        group = {label[v] for vs in edges for v in vs if _find(root, v) == r}
+        indices = frozenset([bisect_left(blocks.leasts, blocks.least[b]) for b in group])
+        merged, inside, added, lam = canonicalize_merge(h, incident, blocks, group, trigger,
+                                                        held, xi, kb)
         if trigger not in inside:
             raise AssertionError("triggering edge does not lie inside the merged block")
         if not 0 <= lam <= ubi[trigger]:
             raise AssertionError("merge deficit outside the edge bound")
         if amount != lam:
             raise AssertionError("the pass's amount is not the merge deficit")
-        if 0 < lam < ubi[trigger]:
-            partial.append(trigger)
-        merges.append(MergeDescriptor(block_indices=group, merged=merged,
+        merges.append(MergeDescriptor(block_indices=indices, merged=merged,
                                       value=Fraction(lam, bscale)))
-        if sum([xi[e] for e in inside]) != kb * (len(merged) - 1):
+        fused = label[verts[0]]
+        if blocks.xsum[fused] != kb * (len(merged) - 1):
             raise AssertionError("merged block misses its exact requirement")
+        # a partially used edge is buried inside its block, and blocks only
+        # coarsen, so later raises never touch it
+        if 0 < lam < ubi[trigger] and any([label[v] != fused for v in verts]):
+            raise AssertionError("partially used edge crosses the partition")
         for e in added:
             release(e)
-        current = merged_partition
-        if len(current.blocks) == 1:
+        current = None
+        if len(blocks.leasts) == 1:
             break
-        # loop invariant: partially used edges buried inside blocks, so
-        # later raises never touch them
-        label = current._label
-        for e in partial:
-            if len({label[v] for v in h.edges[e].vertices}) > 1:
-                raise AssertionError("partially used edge crosses the partition")
 
-    dual = dual_state(current)
+    dual = dual_state(Partition.whole(h.n))
     if sum(xi) != kb * (h.n - 1):
         raise AssertionError("terminal multiplicity total off")
     # cost and dual objective over cscale * bscale
@@ -322,7 +378,7 @@ def reinforce(h: Hypergraph, tree_count: int, costs: EdgeVector,
             raise AssertionError("used edge with positive reduced cost")
         if not 0 <= xi[e] <= ubi[e]:
             raise AssertionError("multiplicity outside its bounds")
-    x = [Fraction(xe, bscale) for xe in xi]
+    x = _fractions(xi, bscale)
     if bounds is None or bounds.is_integral():
         if any(v.denominator != 1 for v in x):
             raise AssertionError("integral data, fractional optimum")

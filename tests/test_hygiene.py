@@ -144,6 +144,13 @@ def test_cli_holds_no_assert():
     assert asserts == [], f"cli.py asserts on lines {asserts}"
 
 
+def test_core_holds_no_assert():
+    # nor does core.py's input and `Partition` validation, which reinforce
+    # now reaches only for the partitions it hands out
+    asserts = _asserts("core.py")
+    assert asserts == [], f"core.py asserts on lines {asserts}"
+
+
 def test_reinforcement_makes_no_cut():
     # reinforcement reads each round's merge from the gathering pass, so
     # it needs neither the gadget nor the flow engine

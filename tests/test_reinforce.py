@@ -240,6 +240,29 @@ def _replay(h, k, bounds, res, reads):
     return counts
 
 
+def _read(blocks, group):
+    """A run's blocks as a Partition, read from the vertex labels alone, and
+    the positions of the blocks with ids in `group` among its blocks."""
+    parts = {}
+    for v, b in enumerate(blocks.label):
+        parts.setdefault(b, []).append(v)
+    current = Partition(len(blocks.label), tuple(tuple(b) for b in parts.values()))
+    return current, frozenset(current.block_index(parts[b][0]) for b in group)
+
+
+def _check_state(h, blocks, x):
+    """Every live block's members, least vertex, inside edges and sum of x
+    against a recount from the vertex labels, and the sorted least vertices."""
+    current, _ = _read(blocks, ())
+    for b in current.blocks:
+        i = blocks.label[b[0]]
+        assert sorted(blocks.members[i]) == list(b)
+        assert blocks.least[i] == b[0]
+        assert blocks.inner[i] == h.induced_edges(None, b)
+        assert blocks.xsum[i] == sum(x[e] for e in blocks.inner[i])
+    assert blocks.leasts == [b[0] for b in current.blocks]
+
+
 class TestOneCutSubproblem:
     def test_matches_the_partition_oracle(self, monkeypatch):
         # every round, with a merge or without one, against one cut of the
@@ -248,9 +271,9 @@ class TestOneCutSubproblem:
         merge = reinforcement.canonicalize_merge
         reads = []
 
-        def spy(h, incident, inner, current, group, trigger, held, x, threshold):
-            reads.append((trigger, current, group))
-            return merge(h, incident, inner, current, group, trigger, held, x, threshold)
+        def spy(h, incident, blocks, group, trigger, held, x, threshold):
+            reads.append((trigger, *_read(blocks, group)))
+            return merge(h, incident, blocks, group, trigger, held, x, threshold)
 
         monkeypatch.setattr(reinforcement, "canonicalize_merge", spy)
         statuses = set()
@@ -285,22 +308,36 @@ class TestOneCutSubproblem:
 
 
 def _merge(h, current, group, trigger, held, x, threshold):
-    """canonicalize_merge with the incidence lists and inside-edge sets built from scratch."""
+    """canonicalize_merge of the blocks at positions `group` of `current`, with
+    the incidence lists and the block state built from scratch; returns the
+    state after the merge and what the merge returns."""
     incident = [[e for e in range(h.m) if v in h.edges[e]] for v in range(h.n)]
-    inner = {b[0]: set(h.induced_edges(None, b)) for b in current.blocks}
-    return reinforcement.canonicalize_merge(h, incident, inner, current, group, trigger, held,
-                                            x, threshold)
+    blocks = reinforcement._Blocks([set() for _ in range(h.n)])
+    for b in current.blocks:
+        for v in b:
+            blocks.label[v] = b[0]
+            blocks.members[v] = []
+        blocks.members[b[0]] = list(b)
+        blocks.inner[b[0]] = set(h.induced_edges(None, b))
+        blocks.xsum[b[0]] = sum(x[e] for e in blocks.inner[b[0]])
+    blocks.leasts[:] = [b[0] for b in current.blocks]
+    ids = [current.blocks[i][0] for i in group]
+    return blocks, *reinforcement.canonicalize_merge(h, incident, blocks, ids, trigger, held,
+                                                     x, threshold)
 
 
 class TestCanonicalizeMerge:
     def test_simple_merge(self):
         h = Hypergraph(4, [[0, 1], [2, 3], [0, 2]])
-        new, merged, inside, added, lam = _merge(
+        x = [0, 0, 0]
+        blocks, merged, inside, added, lam = _merge(
             h, Partition.singletons(4), frozenset({0, 1}), trigger=0, held={0, 1, 2},
-            x=[0, 0, 0], threshold=2)
-        assert new == Partition(4, ((0, 1), (2,), (3,)))
+            x=x, threshold=2)
+        assert _read(blocks, ())[0] == Partition(4, ((0, 1), (2,), (3,)))
+        _check_state(h, blocks, x)
         assert merged == frozenset({0, 1})
         assert inside == frozenset({0})
+        assert added == [0]
         assert lam == 2
 
     def test_deficit_counts_held_edges_inside(self):
@@ -309,35 +346,44 @@ class TestCanonicalizeMerge:
         # edge and edge 4 sticks out of the fused block
         h = Hypergraph(5, [[0, 1], [0, 2], [1, 3], [2, 3], [3, 4]])
         current = Partition(5, ((0, 1), (2,), (3,), (4,)))
-        new, merged, inside, added, lam = _merge(
+        x = [5, 0, 1, 1, 2]
+        blocks, merged, inside, added, lam = _merge(
             h, current, frozenset({0, 1, 2}), trigger=1, held={1, 2, 3, 4},
-            x=[5, 0, 1, 1, 2], threshold=2)
-        assert new == Partition(5, ((0, 1, 2, 3), (4,)))
+            x=x, threshold=2)
+        assert _read(blocks, ())[0] == Partition(5, ((0, 1, 2, 3), (4,)))
+        _check_state(h, blocks, x)
         assert merged == frozenset({0, 1, 2, 3})
         assert inside == frozenset({0, 1, 2, 3})
+        # the largest block, (0, 1), held edge 0; its sum 5 gains x over the rest
+        assert sorted(added) == [1, 2, 3]
+        assert blocks.xsum[blocks.label[0]] == 7
         assert lam == 2
 
     def test_inside_edges_match_the_recount(self, monkeypatch):
         # every merge of random runs: the edges inside the fused set, and
-        # every block's entry of the inside-edge sets afterwards, equal a
-        # recount over all edges; the added edges are those the group's
-        # largest block did not hold, every crossing one among them
+        # every block's members, least vertex, inside edges and sum of x
+        # afterwards, equal a recount over all edges; the added edges are
+        # those the group's largest block did not hold, every crossing one
+        # among them
         merge = reinforcement.canonicalize_merge
         seen = {"optimal": 0, "infeasible": 0}
         merges = 0
 
-        def checked(h, incident, inner, current, group, trigger, held, x, threshold):
+        def checked(h, incident, blocks, group, trigger, held, x, threshold):
             nonlocal merges
             merges += 1
-            blocks = current.blocks
-            before = {i: set(inner[blocks[i][0]]) for i in group}
-            out = merge(h, incident, inner, current, group, trigger, held, x, threshold)
-            new, merged, inside, added, lam = out
+            _check_state(h, blocks, x)
+            current, indices = _read(blocks, group)
+            before = {b: set(blocks.inner[b]) for b in group}
+            out = merge(h, incident, blocks, group, trigger, held, x, threshold)
+            merged, inside, added, lam = out
             assert inside == h.induced_edges(None, merged)
             assert len(added) == len(set(added))
-            assert any(set(added) == inside - before[i] for i in group)
+            assert any(set(added) == inside - before[b] for b in group)
             assert h.cross_edges(inside, current) <= set(added)
-            assert inner == {b[0]: h.induced_edges(None, b) for b in new.blocks}
+            rest = [b for i, b in enumerate(current.blocks) if i not in indices]
+            assert _read(blocks, ())[0] == Partition(h.n, (tuple(merged), *rest))
+            _check_state(h, blocks, x)
             return out
 
         monkeypatch.setattr(reinforcement, "canonicalize_merge", checked)
@@ -466,6 +512,39 @@ class TestChecks:
         assert out.stdout == ("raised: the pass's amount is not the merge deficit\n"
                               "raised: an edge that merges nothing took less than its bound\n")
 
+    @pytest.mark.parametrize("forge, message", [
+        # the fused block's running sum of x one unit short
+        ("blocks.xsum[label[verts[0]]] -= 1", "merged block misses its exact requirement"),
+        # the first merge's trigger takes 1 of its bound 2, and one of its
+        # vertices is sent to the other block
+        ("label[verts[-1]] = next(b for b in label if b != label[verts[0]])",
+         "partially used edge crosses the partition"),
+    ])
+    def test_forged_block_state(self, monkeypatch, capsys, forge, message):
+        # a merge that leaves the block state forged: the check kept per
+        # merge catches it, in-process and under -O
+        code = (
+            "from hypermat import EdgeVector, Hypergraph, reinforce, reinforcement\n"
+            "merge = reinforcement.canonicalize_merge\n"
+            "def forged(h, incident, blocks, group, trigger, held, x, threshold):\n"
+            "    out = merge(h, incident, blocks, group, trigger, held, x, threshold)\n"
+            "    verts, label = h.edges[trigger].vertices, blocks.label\n"
+            f"    {forge}\n"
+            "    return out\n"
+            "reinforcement.canonicalize_merge = forged\n"
+            "try:\n"
+            "    reinforce(Hypergraph(3, [[0, 1], [1, 2], [0, 2]]), 1, EdgeVector.of([1, 2, 3]))\n"
+            "except AssertionError as exc:\n"
+            "    print('raised:', exc)\n"
+        )
+        # the code replaces canonicalize_merge; monkeypatch puts it back
+        monkeypatch.setattr(reinforcement, "canonicalize_merge", reinforcement.canonicalize_merge)
+        exec(code, {})
+        assert capsys.readouterr().out == f"raised: {message}\n"
+        out = subprocess.run([sys.executable, "-O", "-c", code], capture_output=True, text=True,
+                             env={**os.environ, "PYTHONPATH": str(SRC)}, check=True)
+        assert out.stdout == f"raised: {message}\n"
+
 
 class TestLargeRun:
     def test_crit9_n800_seed11(self, monkeypatch):
@@ -474,7 +553,19 @@ class TestLargeRun:
         # round made 491 solves; the answers are those of that cut path
         h, _, _, costs = crit9(11, 800)
         count = count_solves(monkeypatch)
+        builds = 0
+        init = Partition.__post_init__
+
+        def counted(self):
+            nonlocal builds
+            builds += 1
+            init(self)
+
+        monkeypatch.setattr(Partition, "__post_init__", counted)
         res = reinforce(h, 1, costs)
         assert (res.status, res.cost) == ("optimal", 849)
         assert (len(res.merges), len(res.dual.tight_edges)) == (491, 491)
         assert count[0] == 0
+        # the blocks are plain lists: a Partition is built for each raised
+        # partition and the final one, not for each of the 491 merges
+        assert builds <= len(res.dual.partition_duals) + 2
