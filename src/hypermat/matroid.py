@@ -447,30 +447,25 @@ def is_independent(h: Hypergraph, edge_ids: Iterable[int] | None = None) -> bool
     """Whether the selected edges form a hyperforest.
 
     More than |V| - 1 edges are dependent without any search: no rank
-    exceeds |V| - 1.  Otherwise the edges join one gathering pass at
-    cap 1 in id order, each with demand 1, and the first rejection
-    answers False.
+    exceeds |V| - 1.  Otherwise the greedy in id order keeps every edge
+    exactly when they form one.
     """
     ids = h._edge_id_list(edge_ids)
     if not ids:
         return True
     if len(ids) > h.n - 1:
         return False
-    gathering = _Gathering(h.n, 1)
-    for e in ids:
-        if not gathering.add(h.edges[e].vertices, 1):
-            return False
-    gathering.certify_forest()
-    return True
+    return len(_greedy(h, ids)[0]) == len(ids)
 
 
 def independence_test_incremental(h: Hypergraph, independent_ids: Sequence[int],
                                   candidate: int) -> bool:
     """Whether an independent set stays independent with one more edge.
 
-    The set's edges join one gathering pass at cap 1 first; one of them
-    rejected means the set is not independent, a ValueError.  Then one
-    more gathering answers for the candidate.
+    The greedy runs over the set's edges and then the candidate.  It keeps
+    every edge of the set exactly when the set is independent, else a
+    ValueError, and then keeps the candidate exactly when the set stays
+    independent with it.
     """
     if not all([0 <= e < h.m for e in (*independent_ids, candidate)]):
         raise ValueError("edge id out of range")
@@ -478,14 +473,10 @@ def independence_test_incremental(h: Hypergraph, independent_ids: Sequence[int],
         raise ValueError("candidate already in the set")
     if len(set(independent_ids)) != len(independent_ids):
         raise ValueError("duplicate edge ids in the set")
-    gathering = _Gathering(h.n, 1)
-    for e in independent_ids:
-        if not gathering.add(h.edges[e].vertices, 1):
-            raise ValueError("the given set is not independent")
-    ok = gathering.add(h.edges[candidate].vertices, 1) == 1
-    if ok:
-        gathering.certify_forest()
-    return ok
+    chosen, _ = _greedy(h, [*independent_ids, candidate])
+    if chosen[:len(independent_ids)] != [*independent_ids]:
+        raise ValueError("the given set is not independent")
+    return len(chosen) > len(independent_ids)
 
 
 def max_weight_hyperforest(h: Hypergraph, weights: EdgeVector) -> tuple[frozenset[int], Fraction]:

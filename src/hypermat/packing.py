@@ -97,7 +97,7 @@ def strength(h: Hypergraph, capacities: EdgeVector | None = None) -> StrengthRes
     while True:
         iterations += 1
         if iterations > h.n:
-            raise AssertionError("Newton iteration exceeded |V| rounds")
+            raise AssertionError("strength's Newton iteration exceeded |V| rounds")
         # at ratio p/q and capacities a/scale, the packing reaches
         # p scale (|V| - 1) exactly when no partition beats the ratio
         p, q = ratio.numerator, ratio.denominator
@@ -153,7 +153,7 @@ def arboricity(h: Hypergraph) -> ArboricityResult:
     while True:
         iterations += 1
         if iterations > h.n:
-            raise AssertionError("Newton iteration exceeded |V| rounds")
+            raise AssertionError("arboricity's Newton iteration exceeded |V| rounds")
         # at density p/q, no set is denser than the anchor, whose ratio
         # is the density, exactly when every edge family F has
         # q |F| <= p (|V(F)| - 1)

@@ -19,10 +19,29 @@ the merge's deficit: what the tight edges between those blocks lack of
 k * (blocks - 1).  Without a merge it enters at its bound.  The
 one-block partition certifies primal feasibility; running out of
 crossing edges proves infeasibility with the current partition as the
-certificate.  Every dual update keeps feasibility and complementary
-slackness, checked by `if ...: raise`, so `python -O` keeps them, and
-the final cost equality proves optimality; with integer k and bounds the
-multiplicities come out integral.
+certificate.  The duals are read off at the end and checked by
+`if ...: raise`, so `python -O` keeps them; the final cost equality
+proves optimality, and with integer k and bounds the multiplicities come
+out integral.
+
+The loop is Edmonds' polymatroid greedy in increasing cost ("Submodular
+functions, matroids and certain polyhedra", 1970), one scan of the edges
+sorted by (cost, id).  It keeps Cunningham's order: partitions only
+coarsen, so an edge inside a block stays inside, and a crossing edge not
+yet admitted has crossed every partition raised so far.  Its reduced
+cost is its cost less the total raise, one offset for all such edges, so
+the least reduced cost, ties to the least id, is the least (cost, id).
+The scan skips each edge inside one block when it is reached, loops from
+the start, and a round raises by the scanned cost less the total so far,
+never a negative amount.  Ending with two or more blocks, the scan has
+left no crossing edge: the run is infeasible.
+
+Each edge keeps one fact: whether it lies inside a block, and b, the
+total raise when it came there, or the final total if it still crosses.
+The raises it crosses sum to b.  An admitted edge entered when the total
+was its cost, so its bound dual is b less its cost; any other edge's
+reduced cost is its cost less b.  Both are checked nonnegative, which
+fails if the scan skipped a crossing edge.
 
 No cut finds the group: the admitted edges join one gathering pass
 (`matroid._Gathering`) at capacity k with their bounds as demands, and
@@ -46,8 +65,8 @@ Proof, for the admitted edge t, by induction on the rounds:
 4. So with a merge a = D(M), the deficit `canonicalize_merge` recounts
    from x, and without one a = u_t; both are checked.
 
-A round costs what it touches: a heap on costs gives the next edge, and
-a merge relabels and walks the incidence of all but its largest block.
+A round costs what it touches: the scan gives the next edge, and a
+merge relabels and walks the incidence of all but its largest block.
 The blocks are plain lists (`_Blocks`): a block's position in the
 canonical order is a bisection of the sorted least vertices, and a
 `Partition` is built only where one is handed out, for a raised round,
@@ -61,7 +80,6 @@ the loop runs on integers over their denominators.
 
 from __future__ import annotations
 
-import heapq
 from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
@@ -92,9 +110,10 @@ class DualState:
 
     partition_duals lists (partition, raise) pairs in the order first
     raised; bound_duals and reduced_costs are per-edge; tight_edges in
-    admission order; final_partition is the last subproblem optimum, and
-    on infeasibility it is the certificate violating feasibility.
-    Entries equal in value may be the same immutable Fraction object.
+    admission order, which is increasing (cost, id); final_partition is
+    the last subproblem optimum, and on infeasibility it is the
+    certificate violating feasibility.  Entries equal in value may be the
+    same immutable Fraction object.
     """
 
     partition_duals: list[tuple[Partition, Fraction]]
@@ -118,22 +137,23 @@ class _Blocks:
 
     A block's id is a vertex, and a fused block keeps the id of the
     largest block it absorbed.  `label` maps each vertex to its block's
-    id; `members`, `least`, `inner` and `xsum` give each live block's
-    vertices, least vertex, the edges inside it and the sum of x over
-    those edges.  `leasts` is the sorted list of the live blocks' least
-    vertices, so a block's position in the order `Partition` sorts
-    blocks by is one bisection.
+    id; `members`, `least` and `xsum` give each live block's vertices,
+    least vertex and the sum of x over the edges inside it.  `inside`
+    flags each edge that lies inside one block, loops from the start;
+    blocks only coarsen, so a flag is never cleared.  `leasts` is the
+    sorted list of the live blocks' least vertices, so a block's position
+    in the order `Partition` sorts blocks by is one bisection.
     """
 
-    __slots__ = ("label", "members", "least", "leasts", "inner", "xsum")
+    __slots__ = ("label", "members", "least", "leasts", "inside", "xsum")
 
-    def __init__(self, inner: list[set[int]]) -> None:
-        n = len(inner)
+    def __init__(self, h: Hypergraph) -> None:
+        n = h.n
         self.label = list(range(n))
         self.members: list[list[int]] = [[v] for v in range(n)]
         self.least = list(range(n))
         self.leasts = list(range(n))
-        self.inner = inner
+        self.inside = bytearray([edge.is_loop for edge in h.edges])
         self.xsum = [0] * n
 
     def partition(self) -> Partition:
@@ -143,26 +163,26 @@ class _Blocks:
 
 def canonicalize_merge(h: Hypergraph, incident: Sequence[Sequence[int]], blocks: _Blocks,
                        group: Collection[int], trigger: int, held: Container[int],
-                       x: Sequence[int],
-                       threshold: int) -> tuple[frozenset[int], set[int], list[int], int]:
+                       x: Sequence[int], threshold: int) -> tuple[frozenset[int], list[int], int]:
     """The merge step of a reinforcement round: fuse the blocks in `group`.
 
     `group` holds the ids of the blocks that the round's new tight set
     fuses; `held` is the tight edges crossing the current blocks, the
     trigger among them, and `incident` lists each vertex's edges.  The
     group's largest block absorbs the others: their vertices take its id
-    and join its members, its inside-edge set gains the edges of their
-    vertices that lie inside the fused set, and its sum of x gains x over
-    those.  Their least vertices leave `leasts`, the fused block keeping
-    the least of all.  So a merge walks the members and incidence of the
-    smaller blocks only.  Returns the fused vertex set, the edges inside
-    it, the ones among those that the largest block did not hold, and the
-    deficit the trigger takes: what the other held edges inside lack of
-    threshold * (|group| - 1).  Multiplicities x and the threshold are
-    integers over one denominator.
+    and join its members.  The merge buries the edges that crossed the
+    blocks and lie inside the fused set; each meets a smaller block, so
+    they are read from the incidence of the smaller blocks and flagged
+    inside.  The fused block's sum of x is the group's sums plus x over
+    the buried edges.  The smaller blocks' least vertices leave `leasts`,
+    the fused block keeping the least of all.  So a merge walks the
+    members and incidence of the smaller blocks only.  Returns the fused
+    vertex set, the buried edges, and the deficit the trigger takes: what
+    the other held edges inside lack of threshold * (|group| - 1).
+    Multiplicities x and the threshold are integers over one denominator.
     """
-    label, members, least, leasts, inner = (blocks.label, blocks.members, blocks.least,
-                                            blocks.leasts, blocks.inner)
+    label, members, least, leasts, inside, xsum = (blocks.label, blocks.members, blocks.least,
+                                                   blocks.leasts, blocks.inside, blocks.xsum)
     edges = h.edges
     largest = max(group, key=lambda b: len(members[b]))
     others = [b for b in group if b != largest]
@@ -172,25 +192,23 @@ def canonicalize_merge(h: Hypergraph, incident: Sequence[Sequence[int]], blocks:
             label[v] = largest
         fused.extend(members[b])
     merged = frozenset(fused)
-    inside = inner[largest]
     added: list[int] = []
     for b in others:
         for v in members[b]:
             for e in incident[v]:
-                if e not in inside and merged.issuperset(edges[e].vertices):
-                    inside.add(e)
+                if not inside[e] and merged.issuperset(edges[e].vertices):
+                    inside[e] = 1
                     added.append(e)
         members[b] = []
-        inner[b] = set()
     lo = min([least[b] for b in group])
     for b in group:
         if least[b] != lo:
             del leasts[bisect_left(leasts, least[b])]
     least[largest] = lo
-    blocks.xsum[largest] += sum([x[e] for e in added])
-    # held edges cross the current blocks, so every one inside the fused set was added
+    xsum[largest] = sum([xsum[b] for b in group]) + sum([x[e] for e in added])
+    # every held edge inside the fused set crossed the blocks, so it is buried here
     lam = threshold * (len(group) - 1) - sum([x[e] for e in added if e in held and e != trigger])
-    return merged, inside, added, lam
+    return merged, added, lam
 
 
 def _fractions(values: Sequence[int], scale: int) -> list[Fraction]:
@@ -233,92 +251,40 @@ def reinforce(h: Hypergraph, tree_count: int, costs: EdgeVector,
     # common denominator cscale, multiplicities over the bounds' bscale,
     # with kb = k * bscale the pass's capacity
     cnums, cscale = costs._integers()
-    reduced = list(cnums)
-    bdual = [0] * h.m
     gammas: dict[Partition, int] = {}
     xi = [0] * h.m
     kb = tree_count * bscale
     tight: list[int] = []
     merges: list[MergeDescriptor] = []
-    # each vertex's edges, and the edges inside each singleton block; the
-    # crossing edges of the current blocks, split into the open candidates
-    # and the tight ones
     incident: list[list[int]] = [[] for _ in range(h.n)]
-    inner: list[set[int]] = [set() for _ in range(h.n)]
-    candidates: set[int] = set()
     for e, edge in enumerate(h.edges):
         for v in edge.vertices:
             incident[v].append(e)
-        if edge.is_loop:
-            inner[edge.vertices[0]].add(e)
-        else:
-            candidates.add(e)
     # the current blocks, and the Partition of them once one is read
-    blocks = _Blocks(inner)
+    blocks = _Blocks(h)
+    inside = blocks.inside
     current: Partition | None = None
-    # partitions only coarsen, so a candidate has taken every step: its
-    # reduced cost is cnums[e] - raised, and a held edge's bound dual is
-    # raised less its value when the edge was admitted, kept in `held`;
-    # both are written out as the edge leaves, the rest at the end
+    # the total raise, each edge's total when it came inside a block, and
+    # the admitted edges that still cross
     raised = 0
-    queue = [(cnums[e], e) for e in candidates]
-    heapq.heapify(queue)
-    held: dict[int, int] = {}
+    buried = [0] * h.m
+    held: set[int] = set()
     # the admitted edges' amounts at capacity kb, and a union-find whose
     # groups are the current blocks: the pass's maximal tight sets
     gathering = _Gathering(h.n, kb)
     root = list(range(h.n))
 
-    def release(e: int) -> None:
-        if e in candidates:
-            candidates.remove(e)
-            reduced[e] = cnums[e] - raised
-        elif e in held:
-            bdual[e] = raised - held.pop(e)
-            if bdual[e] > 0 and xi[e] != ubi[e]:
-                raise AssertionError("crossing tight edge below its bound")
-
-    def dual_state(p: Partition) -> DualState:
-        gathering.certify()
-        for e in [*candidates, *held]:
-            release(e)
-        if min(reduced, default=0) < 0 or min(bdual, default=0) < 0:
-            raise AssertionError("a dual variable went negative")
-        return DualState(
-            partition_duals=[(q, Fraction(g, cscale)) for q, g in gammas.items()],
-            bound_duals=_fractions(bdual, cscale),
-            reduced_costs=_fractions(reduced, cscale),
-            tight_edges=list(tight), final_partition=p)
-
-    rounds = 0
-    while True:
-        rounds += 1
-        if rounds > h.m + 1:
-            raise AssertionError("admitted more edges than exist")
-        if not candidates:
-            # even at full bounds the crossing edges cannot meet the
-            # requirement: the current partition certifies infeasibility
+    # a stable sort, so equal costs go in id order
+    for trigger in sorted(range(h.m), key=cnums.__getitem__):
+        if inside[trigger]:
+            continue
+        if cnums[trigger] > raised:
             if current is None:
                 current = blocks.partition()
-            crossing = h.cross_edges(tight, current)
-            if sum([ubi[e] for e in crossing]) >= kb * (len(current.blocks) - 1):
-                raise AssertionError("infeasibility certificate meets the requirement")
-            return ReinforcementResult(status="infeasible", x=None, cost=None,
-                                       dual=dual_state(current), merges=tuple(merges))
-        while queue[0][1] not in candidates:
-            heapq.heappop(queue)
-        top, trigger = heapq.heappop(queue)
-        step = top - raised
-        if step < 0:
-            raise AssertionError("reduced cost went negative")
-        if step > 0:
-            if current is None:
-                current = blocks.partition()
-            gammas[current] = gammas.get(current, 0) + step
-            raised = top
+            gammas[current] = gammas.get(current, 0) + cnums[trigger] - raised
+            raised = cnums[trigger]
         tight.append(trigger)
-        release(trigger)
-        held[trigger] = raised
+        held.add(trigger)
 
         verts = h.edges[trigger].vertices
         xi[trigger] = amount = gathering.add(verts, ubi[trigger])
@@ -333,9 +299,8 @@ def reinforce(h: Hypergraph, tree_count: int, costs: EdgeVector,
         label = blocks.label
         group = {label[v] for vs in edges for v in vs if _find(root, v) == r}
         indices = frozenset([bisect_left(blocks.leasts, blocks.least[b]) for b in group])
-        merged, inside, added, lam = canonicalize_merge(h, incident, blocks, group, trigger,
-                                                        held, xi, kb)
-        if trigger not in inside:
+        merged, added, lam = canonicalize_merge(h, incident, blocks, group, trigger, held, xi, kb)
+        if not inside[trigger]:
             raise AssertionError("triggering edge does not lie inside the merged block")
         if not 0 <= lam <= ubi[trigger]:
             raise AssertionError("merge deficit outside the edge bound")
@@ -351,12 +316,39 @@ def reinforce(h: Hypergraph, tree_count: int, costs: EdgeVector,
         if 0 < lam < ubi[trigger] and any([label[v] != fused for v in verts]):
             raise AssertionError("partially used edge crosses the partition")
         for e in added:
-            release(e)
+            buried[e] = raised
+        held.difference_update(added)
         current = None
         if len(blocks.leasts) == 1:
             break
+    else:
+        # even at full bounds the crossing edges cannot meet the
+        # requirement: the current partition certifies infeasibility
+        if current is None:
+            current = blocks.partition()
+        crossing = h.cross_edges(tight, current)
+        if sum([ubi[e] for e in crossing]) >= kb * (len(current.blocks) - 1):
+            raise AssertionError("infeasibility certificate meets the requirement")
 
-    dual = dual_state(Partition.whole(h.n))
+    feasible = len(blocks.leasts) == 1
+    gathering.certify()
+    # every dual from each edge's raise b, as the module docstring says
+    reduced = [c - (b if flag else raised) for c, b, flag in zip(cnums, buried, inside)]
+    bdual = [0] * h.m
+    for e in tight:
+        bdual[e], reduced[e] = -reduced[e], 0
+        if bdual[e] > 0 and xi[e] != ubi[e]:
+            raise AssertionError("bound dual positive on an unsaturated edge")
+    if min(reduced, default=0) < 0 or min(bdual, default=0) < 0:
+        raise AssertionError("a dual variable went negative")
+    dual = DualState(
+        partition_duals=[(q, Fraction(g, cscale)) for q, g in gammas.items()],
+        bound_duals=_fractions(bdual, cscale), reduced_costs=_fractions(reduced, cscale),
+        tight_edges=tight, final_partition=Partition.whole(h.n) if feasible else current)
+    if not feasible:
+        return ReinforcementResult(status="infeasible", x=None, cost=None, dual=dual,
+                                   merges=tuple(merges))
+
     if sum(xi) != kb * (h.n - 1):
         raise AssertionError("terminal multiplicity total off")
     # cost and dual objective over cscale * bscale
@@ -365,17 +357,18 @@ def reinforce(h: Hypergraph, tree_count: int, costs: EdgeVector,
     dual_obj -= sum([u * b for u, b in zip(ubi, bdual)])
     if cost != dual_obj:
         raise AssertionError("primal and dual objectives differ")
-    # complementary slackness, exactly
+    # complementary slackness, exactly, and each edge's raises: those of
+    # the partitions it crosses
+    covered = [0] * h.m
     for p, g in gammas.items():
-        if g > 0:
-            got = sum([xi[e] for e in h.cross_edges(None, p)])
-            if got != kb * (len(p.blocks) - 1):
-                raise AssertionError("raised partition not tight in x")
+        crossing = h.cross_edges(None, p)
+        if sum([xi[e] for e in crossing]) != kb * (len(p.blocks) - 1):
+            raise AssertionError("raised partition not tight in x")
+        for e in crossing:
+            covered[e] += g
     for e in range(h.m):
-        if bdual[e] > 0 and xi[e] != ubi[e]:
-            raise AssertionError("bound dual positive on an unsaturated edge")
-        if xi[e] > 0 and reduced[e] != 0:
-            raise AssertionError("used edge with positive reduced cost")
+        if reduced[e] != cnums[e] - covered[e] + bdual[e]:
+            raise AssertionError("reduced cost is not cost less crossed raises plus bound dual")
         if not 0 <= xi[e] <= ubi[e]:
             raise AssertionError("multiplicity outside its bounds")
     x = _fractions(xi, bscale)

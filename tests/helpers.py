@@ -130,18 +130,25 @@ def mst_cost(n: int, pairs: list[tuple[int, int]],
 
 def verify_optimal(h, k, costs, bounds, res):
     """Re-derive a reinforcement optimality proof from scratch: primal
-    feasibility over every partition, dual feasibility, complementary
-    slackness, and equal objectives.  Only for n small enough to
-    enumerate partitions."""
+    feasibility over every partition, then `verify_duals`.  Only for n
+    small enough to enumerate partitions."""
+    for p in enum_partitions(h.n):
+        if len(p.blocks) >= 2:
+            need = k * (len(p.blocks) - 1)
+            assert res.x.sum_over(h.cross_edges(None, p)) >= need
+    verify_duals(h, k, costs, bounds, res)
+
+
+def verify_duals(h, k, costs, bounds, res):
+    """The rest of the proof, from the output alone: x within its bounds,
+    dual feasibility, complementary slackness and equal objectives.  It
+    walks the crossing edges of each raised partition once, so it runs at
+    any n."""
     x = res.x
     ub = [bounds[e] if bounds is not None else Fraction(k * (h.n - 1))
           for e in range(h.m)]
     for e in range(h.m):
         assert 0 <= x[e] <= ub[e]
-    for p in enum_partitions(h.n):
-        if len(p.blocks) >= 2:
-            need = k * (len(p.blocks) - 1)
-            assert x.sum_over(h.cross_edges(None, p)) >= need
 
     gamma = res.dual.partition_duals
     beta = res.dual.bound_duals
@@ -151,19 +158,21 @@ def verify_optimal(h, k, costs, bounds, res):
     assert res.cost == sum((costs[e] * x[e] for e in range(h.m)), Fraction(0))
     assert res.cost == dual_obj
 
+    covering = [Fraction(0)] * h.m
+    for p, g in gamma:
+        crossing = h.cross_edges(None, p)
+        for e in crossing:
+            covering[e] += g
+        if g > 0:
+            assert x.sum_over(crossing) == k * (len(p.blocks) - 1)
     for e in range(h.m):
-        covering = sum((g for p, g in gamma
-                        if e in h.cross_edges(None, p)), Fraction(0))
-        reduced = costs[e] - covering + beta[e]
+        reduced = costs[e] - covering[e] + beta[e]
         assert reduced == res.dual.reduced_costs[e]
         assert reduced >= 0
         if x[e] > 0:
             assert reduced == 0
         if beta[e] > 0:
             assert x[e] == ub[e]
-    for p, g in gamma:
-        if g > 0:
-            assert x.sum_over(h.cross_edges(None, p)) == k * (len(p.blocks) - 1)
 
 
 def count_solves(monkeypatch) -> list[int]:

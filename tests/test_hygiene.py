@@ -151,6 +151,22 @@ def test_core_holds_no_assert():
     assert asserts == [], f"core.py asserts on lines {asserts}"
 
 
+def test_each_check_has_its_own_message():
+    # a failed certificate check names the identity that broke, so no two
+    # `raise AssertionError("...")` in the package share their text
+    where: dict[str, list[str]] = {}
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            exc = node.exc if isinstance(node, ast.Raise) else None
+            if (isinstance(exc, ast.Call) and isinstance(exc.func, ast.Name)
+                    and exc.func.id == "AssertionError" and exc.args
+                    and isinstance(exc.args[0], ast.Constant)):
+                where.setdefault(exc.args[0].value, []).append(f"{path.name}:{node.lineno}")
+    assert where
+    repeated = {message: lines for message, lines in where.items() if len(lines) > 1}
+    assert repeated == {}
+
+
 def test_reinforcement_makes_no_cut():
     # reinforcement reads each round's merge from the gathering pass, so
     # it needs neither the gadget nor the flow engine

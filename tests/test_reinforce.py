@@ -21,7 +21,8 @@ from hypermat import (
 from hypermat.brute import brute_reinforce
 from hypermat.gadgets import GadgetEngine, build_supermodular_gadget
 
-from helpers import count_solves, crit9, examples, mst_cost, random_hypergraph, verify_optimal
+from helpers import (count_solves, crit9, examples, mst_cost, random_hypergraph, verify_duals,
+                     verify_optimal)
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -251,15 +252,18 @@ def _read(blocks, group):
 
 
 def _check_state(h, blocks, x):
-    """Every live block's members, least vertex, inside edges and sum of x
-    against a recount from the vertex labels, and the sorted least vertices."""
+    """Every live block's members, least vertex and sum of x, and every
+    edge's inside flag, against a recount from the vertex labels, and the
+    sorted least vertices."""
     current, _ = _read(blocks, ())
     for b in current.blocks:
         i = blocks.label[b[0]]
         assert sorted(blocks.members[i]) == list(b)
         assert blocks.least[i] == b[0]
-        assert blocks.inner[i] == h.induced_edges(None, b)
-        assert blocks.xsum[i] == sum(x[e] for e in blocks.inner[i])
+        assert blocks.xsum[i] == sum(x[e] for e in h.induced_edges(None, b))
+    # an edge is flagged exactly when it lies inside one block
+    crossing = h.cross_edges(None, current)
+    assert list(blocks.inside) == [e not in crossing for e in range(h.m)]
     assert blocks.leasts == [b[0] for b in current.blocks]
 
 
@@ -312,14 +316,15 @@ def _merge(h, current, group, trigger, held, x, threshold):
     the incidence lists and the block state built from scratch; returns the
     state after the merge and what the merge returns."""
     incident = [[e for e in range(h.m) if v in h.edges[e]] for v in range(h.n)]
-    blocks = reinforcement._Blocks([set() for _ in range(h.n)])
+    blocks = reinforcement._Blocks(h)
     for b in current.blocks:
         for v in b:
             blocks.label[v] = b[0]
             blocks.members[v] = []
         blocks.members[b[0]] = list(b)
-        blocks.inner[b[0]] = set(h.induced_edges(None, b))
-        blocks.xsum[b[0]] = sum(x[e] for e in blocks.inner[b[0]])
+        for e in h.induced_edges(None, b):
+            blocks.inside[e] = 1
+            blocks.xsum[b[0]] += x[e]
     blocks.leasts[:] = [b[0] for b in current.blocks]
     ids = [current.blocks[i][0] for i in group]
     return blocks, *reinforcement.canonicalize_merge(h, incident, blocks, ids, trigger, held,
@@ -330,13 +335,13 @@ class TestCanonicalizeMerge:
     def test_simple_merge(self):
         h = Hypergraph(4, [[0, 1], [2, 3], [0, 2]])
         x = [0, 0, 0]
-        blocks, merged, inside, added, lam = _merge(
+        blocks, merged, added, lam = _merge(
             h, Partition.singletons(4), frozenset({0, 1}), trigger=0, held={0, 1, 2},
             x=x, threshold=2)
         assert _read(blocks, ())[0] == Partition(4, ((0, 1), (2,), (3,)))
         _check_state(h, blocks, x)
         assert merged == frozenset({0, 1})
-        assert inside == frozenset({0})
+        assert list(blocks.inside) == [1, 0, 0]
         assert added == [0]
         assert lam == 2
 
@@ -347,24 +352,24 @@ class TestCanonicalizeMerge:
         h = Hypergraph(5, [[0, 1], [0, 2], [1, 3], [2, 3], [3, 4]])
         current = Partition(5, ((0, 1), (2,), (3,), (4,)))
         x = [5, 0, 1, 1, 2]
-        blocks, merged, inside, added, lam = _merge(
+        blocks, merged, added, lam = _merge(
             h, current, frozenset({0, 1, 2}), trigger=1, held={1, 2, 3, 4},
             x=x, threshold=2)
         assert _read(blocks, ())[0] == Partition(5, ((0, 1, 2, 3), (4,)))
         _check_state(h, blocks, x)
         assert merged == frozenset({0, 1, 2, 3})
-        assert inside == frozenset({0, 1, 2, 3})
-        # the largest block, (0, 1), held edge 0; its sum 5 gains x over the rest
+        assert list(blocks.inside) == [1, 1, 1, 1, 0]
+        # edge 0 lay inside the block (0, 1) already; the merge buries the
+        # rest, and the block sums 5, 0 and 0 gain x over them
         assert sorted(added) == [1, 2, 3]
         assert blocks.xsum[blocks.label[0]] == 7
         assert lam == 2
 
     def test_inside_edges_match_the_recount(self, monkeypatch):
-        # every merge of random runs: the edges inside the fused set, and
-        # every block's members, least vertex, inside edges and sum of x
-        # afterwards, equal a recount over all edges; the added edges are
-        # those the group's largest block did not hold, every crossing one
-        # among them
+        # every merge of random runs: the buried edges are exactly those
+        # inside the fused set that crossed the blocks, and every block's
+        # members, least vertex and sum of x, and every edge's inside flag
+        # afterwards, equal a recount over all edges
         merge = reinforcement.canonicalize_merge
         seen = {"optimal": 0, "infeasible": 0}
         merges = 0
@@ -374,13 +379,10 @@ class TestCanonicalizeMerge:
             merges += 1
             _check_state(h, blocks, x)
             current, indices = _read(blocks, group)
-            before = {b: set(blocks.inner[b]) for b in group}
             out = merge(h, incident, blocks, group, trigger, held, x, threshold)
-            merged, inside, added, lam = out
-            assert inside == h.induced_edges(None, merged)
+            merged, added, lam = out
             assert len(added) == len(set(added))
-            assert any(set(added) == inside - before[b] for b in group)
-            assert h.cross_edges(inside, current) <= set(added)
+            assert set(added) == h.cross_edges(h.induced_edges(None, merged), current)
             rest = [b for i, b in enumerate(current.blocks) if i not in indices]
             assert _read(blocks, ())[0] == Partition(h.n, (tuple(merged), *rest))
             _check_state(h, blocks, x)
@@ -442,6 +444,9 @@ class TestAgainstBruteProperty:
     def test_cost_and_certificate(self, inst):
         h, k, costs, bounds = inst
         res = reinforce(h, k, costs, bounds)
+        # the loop admits in the greedy's order
+        tight = res.dual.tight_edges
+        assert tight == sorted(tight, key=lambda e: (costs[e], e))
         # scaling x and the bounds by their common denominator d gives integer
         # data, whose optimum is integral and d times the original one
         ub = EdgeVector.constant(h.m, k * (h.n - 1)) if bounds is None else bounds
@@ -523,27 +528,50 @@ class TestChecks:
     def test_forged_block_state(self, monkeypatch, capsys, forge, message):
         # a merge that leaves the block state forged: the check kept per
         # merge catches it, in-process and under -O
-        code = (
-            "from hypermat import EdgeVector, Hypergraph, reinforce, reinforcement\n"
-            "merge = reinforcement.canonicalize_merge\n"
-            "def forged(h, incident, blocks, group, trigger, held, x, threshold):\n"
-            "    out = merge(h, incident, blocks, group, trigger, held, x, threshold)\n"
-            "    verts, label = h.edges[trigger].vertices, blocks.label\n"
-            f"    {forge}\n"
-            "    return out\n"
-            "reinforcement.canonicalize_merge = forged\n"
-            "try:\n"
-            "    reinforce(Hypergraph(3, [[0, 1], [1, 2], [0, 2]]), 1, EdgeVector.of([1, 2, 3]))\n"
-            "except AssertionError as exc:\n"
-            "    print('raised:', exc)\n"
-        )
-        # the code replaces canonicalize_merge; monkeypatch puts it back
-        monkeypatch.setattr(reinforcement, "canonicalize_merge", reinforcement.canonicalize_merge)
-        exec(code, {})
-        assert capsys.readouterr().out == f"raised: {message}\n"
-        out = subprocess.run([sys.executable, "-O", "-c", code], capture_output=True, text=True,
-                             env={**os.environ, "PYTHONPATH": str(SRC)}, check=True)
-        assert out.stdout == f"raised: {message}\n"
+        _check_forged(monkeypatch, capsys, forge, "1, EdgeVector.of([1, 2, 3])", message)
+
+    @pytest.mark.parametrize("forge, args, message", [
+        # edge 2 flagged inside while it still crosses {0, 1} | {2}: the
+        # scan skips it, and its reduced cost misses the raise it crosses
+        ("blocks.inside[2] = 1", "1, EdgeVector.of([1, 2, 3])",
+         "reduced cost is not cost less crossed raises plus bound dual"),
+        # edge 0 takes its bound 1 at raise 1 and is buried at raise 3;
+        # the last merge takes its unit back
+        ("if len(blocks.leasts) == 1: x[0] -= 1",
+         "2, EdgeVector.of([1, 2, 3]), EdgeVector.of([1, 2, 2])",
+         "bound dual positive on an unsaturated edge"),
+    ])
+    def test_forged_duals(self, monkeypatch, capsys, forge, args, message):
+        # a merge that forges what the duals are read from: the checks on
+        # the duals at the end catch it, in-process and under -O
+        _check_forged(monkeypatch, capsys, forge, args, message)
+
+
+def _check_forged(monkeypatch, capsys, forge, args, message):
+    """Run reinforce on the triangle with `args`, the line `forge` run
+    after each merge, and check it raises `message`, in-process and under
+    python -O."""
+    code = (
+        "from hypermat import EdgeVector, Hypergraph, reinforce, reinforcement\n"
+        "merge = reinforcement.canonicalize_merge\n"
+        "def forged(h, incident, blocks, group, trigger, held, x, threshold):\n"
+        "    out = merge(h, incident, blocks, group, trigger, held, x, threshold)\n"
+        "    verts, label = h.edges[trigger].vertices, blocks.label\n"
+        f"    {forge}\n"
+        "    return out\n"
+        "reinforcement.canonicalize_merge = forged\n"
+        "try:\n"
+        f"    reinforce(Hypergraph(3, [[0, 1], [1, 2], [0, 2]]), {args})\n"
+        "except AssertionError as exc:\n"
+        "    print('raised:', exc)\n"
+    )
+    # the code replaces canonicalize_merge; monkeypatch puts it back
+    monkeypatch.setattr(reinforcement, "canonicalize_merge", reinforcement.canonicalize_merge)
+    exec(code, {})
+    assert capsys.readouterr().out == f"raised: {message}\n"
+    out = subprocess.run([sys.executable, "-O", "-c", code], capture_output=True, text=True,
+                         env={**os.environ, "PYTHONPATH": str(SRC)}, check=True)
+    assert out.stdout == f"raised: {message}\n"
 
 
 class TestLargeRun:
@@ -569,3 +597,13 @@ class TestLargeRun:
         # the blocks are plain lists: a Partition is built for each raised
         # partition and the final one, not for each of the 491 merges
         assert builds <= len(res.dual.partition_duals) + 2
+        verify_duals(h, 1, costs, None, res)
+
+    def test_crit9_n200_seed20_bounded_duals(self):
+        # the weights as bounds at k = 2: admitted edges stop at their
+        # bounds and take positive bound duals
+        h, weights, _, costs = crit9(20, 200)
+        res = reinforce(h, 2, costs, weights)
+        assert res.status == "optimal"
+        assert sum(b > 0 for b in res.dual.bound_duals) == 7
+        verify_duals(h, 2, costs, list(weights), res)
